@@ -316,7 +316,7 @@ def render_svg(d: DrawingPair, *, regions_beta: Optional[float] = None,
             color = _SIDE_COLORS[side]
             for u, v in d.edges(side):
                 p, q = own[u], own[v]
-                if math.isinf(regions_beta):
+                if regions_beta == BETA_INF:
                     from .geometry import unit as _unit, vsub as _vsub
                     uv = _unit(_vsub(q, p))
                     nx, ny = -uv.y, uv.x

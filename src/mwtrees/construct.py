@@ -12,15 +12,19 @@ Four constructions are provided:
 * ``draw_pruned_tree_pair``-- a tree against itself minus a sparse leaf
   set, same universal validity.
 
-All constructions are deterministic.  Internal verification gates re-run
-the brute-force verifier on intermediate results and raise
-DegenerateGeometry rather than return an invalid drawing.
+All constructions are deterministic.  Each recursion level is assembled
+and gated once: the gate re-runs the brute-force verifier on the level's
+drawing and, on failure, raises DegenerateGeometry at once, naming the
+subtree vertex, the beta and the first violation, rather than return an
+invalid drawing.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from .errors import (
     DegenerateGeometry,
@@ -45,8 +49,6 @@ from .geometry import (
     dist,
     dot,
     norm,
-    region_margin,
-    region_scale,
     rotate_about,
     unit,
     vsub,
@@ -55,6 +57,7 @@ from .proximity import (
     ConstructionTrace,
     DrawingPair,
     ParallelogramAnnotation,
+    side_verdicts,
     strip_ratio,
     verify,
 )
@@ -203,28 +206,15 @@ def _translate_subset(d: DrawingPair, block0: Set[int], block1: Set[int],
     return replace(d, points0=pts0, points1=pts1)
 
 
-def _pair_verdicts(d: DrawingPair, beta: float):
-    """Per-side dict: pair -> (is_edge, best witness margin, local scale)."""
-    import numpy as np
-    from .proximity import _side_margin_tables
-
-    out = []
-    for side in (0, 1):
-        own = d.side(side)
-        other = d.side(1 - side)
-        edge_set = set(d.edges(side))
-        iu, jv, marg, scale = _side_margin_tables(own, other, beta)
-        table: Dict[Tuple[int, int], Tuple[bool, float, float]] = {}
-        if marg is not None:
-            best = np.argmax(marg, axis=1)
-            rows = np.arange(len(iu))
-            bm = marg[rows, best]
-            bs = scale[rows, best]
-            for idx in range(len(iu)):
-                pair = (int(iu[idx]), int(jv[idx]))
-                table[pair] = (pair in edge_set, float(bm[idx]), float(bs[idx]))
-        out.append(table)
-    return out
+def _gabriel_flags(d: DrawingPair):
+    """Closed Gabriel violations and strict verdicts of both sides' pairs, each
+    judged by the pair's deepest witness alone, plus the per-side verdicts."""
+    vs = [side_verdicts(d.side(s), d.side(1 - s), 1.0, d.edges(s)) for s in (0, 1)]
+    is_edge, depth, scale = (np.concatenate([getattr(v, f) for v in vs])
+                             for f in ("is_edge", "depth", "scale"))
+    tol = TOL * scale
+    bad = np.where(is_edge, depth >= -tol, depth < -tol)
+    return bad, np.where(is_edge, -depth, depth) > tol, vs
 
 
 def compute_safe_perturbation(d: DrawingPair, block0: Set[int], block1: Set[int],
@@ -235,7 +225,8 @@ def compute_safe_perturbation(d: DrawingPair, block0: Set[int], block1: Set[int]
     block.  A candidate offset is accepted when, after the move, every
     target edge is strictly witness-free in its closed Gabriel region, no
     new closed-mode violation appears, and every previously strict verdict
-    keeps a margin above tolerance.
+    keeps a margin above tolerance.  Verdicts are those of each pair's
+    deepest witness, with tolerance ``TOL`` times that witness's scale.
     """
     u = unit(direction)
     b0 = set(int(i) for i in block0)
@@ -248,57 +239,18 @@ def compute_safe_perturbation(d: DrawingPair, block0: Set[int], block1: Set[int]
     base = min_d / 10.0
     floor = 1e-12 * scale
 
-    targets = []
-    for side, block in ((0, b0), (1, b1)):
-        for (a, b) in d.edges(side):
-            if (a in block) != (b in block):
-                targets.append((side, (a, b)))
-    target_set = set(targets)
-
-    before = _pair_verdicts(d, 1.0)
-
-    def violated(is_edge, margin, s):
-        tol = TOL * s
-        return margin >= -tol if is_edge else margin < -tol
-
-    orig_bad = set()
-    for side in (0, 1):
-        for pair, (is_edge, m, s) in before[side].items():
-            if violated(is_edge, m, s):
-                orig_bad.add((side, pair))
-
-    if not targets and not orig_bad:
+    orig_bad, strict, before = _gabriel_flags(d)
+    moving = [np.isin(np.arange(len(d.side(s))), list(b)) for s, b in ((0, b0), (1, b1))]
+    target = np.concatenate([v.is_edge & (m[v.iu] != m[v.jv]) for v, m in zip(before, moving)])
+    if not target.any() and not orig_bad.any():
         return base
+    kept_strict = strict & ~orig_bad & ~target
 
     eps = base
     while eps >= floor:
-        moved = _translate_subset(d, b0, b1, (eps * u.x, eps * u.y))
-        after = _pair_verdicts(moved, 1.0)
-        ok = True
-        for side, pair in targets:
-            is_edge, m, s = after[side][pair]
-            if m >= -TOL * s:
-                ok = False
-                break
-        if ok:
-            for side in (0, 1):
-                for pair, (is_edge, m, s) in after[side].items():
-                    key = (side, pair)
-                    tol = TOL * s
-                    now_bad = (m >= -tol) if is_edge else (m < -tol)
-                    if now_bad and (key not in orig_bad or key in target_set):
-                        ok = False
-                        break
-                    was_edge, m0, s0 = before[side][pair]
-                    if key not in orig_bad and key not in target_set:
-                        strict_before = (-m0 if was_edge else m0) > TOL * s0
-                        strict_after = (-m if is_edge else m) > TOL * s
-                        if strict_before and not strict_after:
-                            ok = False
-                            break
-                if not ok:
-                    break
-        if ok:
+        now_bad, now_strict, _ = _gabriel_flags(
+            _translate_subset(d, b0, b1, (eps * u.x, eps * u.y)))
+        if not (now_bad & (~orig_bad | target)).any() and not (kept_strict & ~now_strict).any():
             return eps
         eps /= 2.0
     raise NoSafeEps(f"no safe offset above {floor:g}")
@@ -340,12 +292,7 @@ def _draw_path_pair(tree) -> DrawingPair:
 def _edge_strictly_clean(d: DrawingPair, side: int, pair: Tuple[int, int]) -> bool:
     """True when no opposite point is within tolerance of the pair's Gabriel disk."""
     own = d.side(side)
-    p, q = own[pair[0]], own[pair[1]]
-    for w in d.side(1 - side):
-        m = region_margin(p, q, 1.0, w)
-        if m >= -TOL * region_scale(p, q, w):
-            return False
-    return True
+    return not side_verdicts((own[pair[0]], own[pair[1]]), d.side(1 - side), 1.0).closed_hit[0]
 
 
 def draw_caterpillar_pair(cat: CaterpillarDecomposition) -> DrawingPair:
@@ -543,11 +490,21 @@ def _sub_drawing(sub: _Sub) -> DrawingPair:
     )
 
 
-def _gate_sub(sub: _Sub) -> bool:
+def _gate_sub(sub: _Sub, v: int) -> None:
+    """Raise DegenerateGeometry unless the subtree at ``v`` is strictly valid
+    at beta 1 and beta inf (hence, by nesting, at every beta)."""
     if len(sub.pos0) < 2 and len(sub.pos1) < 2:
-        return True
+        return
     d = _sub_drawing(sub)
-    return verify(d, 1.0, "strict").ok and verify(d, BETA_INF, "strict").ok
+    for beta in (1.0, BETA_INF):
+        bad = verify(d, beta, "strict").violations
+        if bad:
+            f = bad[0]
+            ids = sorted(sub.pos0 if f.side == 0 else sub.pos1)
+            raise DegenerateGeometry(
+                f"subtree at {v} fails strict verification at beta={beta}: "
+                f"{len(bad)} violation(s), first {f.kind} on side {f.side} pair "
+                f"{(ids[f.pair[0]], ids[f.pair[1]])} margin {f.margin:.3e}")
 
 
 def _edge_points(sub: _Sub, side: int) -> List[Tuple[Point, Point]]:
@@ -657,7 +614,9 @@ def _acute_with_vertical(v: Tuple[float, float]) -> float:
 
 
 def _root_levels(placed: List[_Sub], w1_point: Optional[Point]) -> Tuple[float, float, Dict]:
-    """Root elevation above/below the strip (before any boost).
+    """Root elevation above/below the strip.
+
+    The level is assembled and gated once at this elevation.
 
     Three families of constraints, each solved exactly against the actual
     vertex positions: the perpendicular slab of every new root edge must
@@ -810,8 +769,7 @@ def _choose_rotation(placed: List[_Sub], p0: Point, p1: Point) -> Tuple[Point, D
     raise DegenerateGeometry("no rotation angle satisfies the shape constraints")
 
 
-def _assemble_level(subs: List[_Sub], root0: int, root1: int, *,
-                    boost: float = 1.0, w1_mode: bool = False,
+def _assemble_level(subs: List[_Sub], root0: int, root1: int, *, w1_mode: bool = False,
                     trace_log: Optional[List[Dict]] = None) -> _Sub:
     placed = _place_children(subs)
     w1_point: Optional[Point] = None
@@ -821,7 +779,6 @@ def _assemble_level(subs: List[_Sub], root0: int, root1: int, *,
             raise DegenerateGeometry("rightmost child has no inner corner vertex")
         w1_point = last.b1
     elev, span, info = _root_levels(placed, w1_point)
-    elev *= boost
 
     l0x, l1x = info["L0x"], info["L1x"]
     doublings = 0
@@ -871,7 +828,6 @@ def _assemble_level(subs: List[_Sub], root0: int, root1: int, *,
             "elevation": elev,
             "rotation": theta,
             "offsets": [s.a0.x for s in placed],
-            "boost": boost,
         })
 
     return _Sub(pos0, pos1, tuple(edges0), tuple(edges1),
@@ -889,12 +845,9 @@ def _build_tree_sub(rt: RootedTree, v: int, side1: Callable[[int], int],
     if not kids:
         return _canon_sub(v, side1(v))
     subs = [_build_tree_sub(rt, c, side1, trace_log) for c in kids]
-    for attempt in range(8):
-        sub = _assemble_level(subs, v, side1(v), boost=2.0 ** attempt,
-                              trace_log=trace_log if attempt == 0 else None)
-        if _gate_sub(sub):
-            return sub
-    raise DegenerateGeometry(f"subtree at {v} failed verification at all elevations")
+    sub = _assemble_level(subs, v, side1(v), trace_log=trace_log)
+    _gate_sub(sub, v)
+    return sub
 
 
 def _dynamic_range(points: Sequence[Point]) -> float:
@@ -980,16 +933,14 @@ def lower_strip_ratio(pd: ParallelogramDrawing, eps: float) -> ParallelogramDraw
     if dy <= 0.0:
         raise DegenerateGeometry("root rays do not widen the drawing")
     t = (band / (0.5 * eps) - height) / dy
-    for _ in range(60):
-        cand = _lower_sub(sub, t)
-        if _sub_ratio(cand) < eps and _gate_sub(cand):
-            ann = pd.parallelogram
-            new_ann = replace(ann, a0=cand.a0, a1=cand.a1)
-            pts0 = tuple(cand.pos0[i] for i in range(len(pd.points0)))
-            pts1 = tuple(cand.pos1[i] for i in range(len(pd.points1)))
-            return replace(pd, points0=pts0, points1=pts1, parallelogram=new_ann)
-        t *= 2.0
-    raise DegenerateGeometry("strip ratio reduction failed to verify")
+    cand = _lower_sub(sub, t)
+    if not _sub_ratio(cand) < eps:
+        raise DegenerateGeometry(f"lowered strip ratio {_sub_ratio(cand)!r} is not below {eps!r}")
+    _gate_sub(cand, sub.root0)
+    pts0 = tuple(cand.pos0[i] for i in range(len(pd.points0)))
+    pts1 = tuple(cand.pos1[i] for i in range(len(pd.points1)))
+    new_ann = replace(pd.parallelogram, a0=cand.a0, a1=cand.a1)
+    return replace(pd, points0=pts0, points1=pts1, parallelogram=new_ann)
 
 
 # ---------------------------------------------------------------------------
@@ -1056,13 +1007,10 @@ def _build_pruned_sub(rt: RootedTree, v: int, members: frozenset,
             if ty == "B":
                 gone.update(x for x in rt.children[c] if x in members)
     subs = _prep_strip_ratios(subs)
-    for attempt in range(60):
-        sub = _assemble_level(subs, v, v, boost=2.0 ** attempt, w1_mode=True,
-                              trace_log=trace_log if attempt == 0 else None)
-        pruned = _delete_side1(sub, gone)
-        if _gate_sub(pruned):
-            return pruned
-    raise DegenerateGeometry(f"pruned subtree at {v} failed verification at all elevations")
+    sub = _assemble_level(subs, v, v, w1_mode=True, trace_log=trace_log)
+    pruned = _delete_side1(sub, gone)
+    _gate_sub(pruned, v)
+    return pruned
 
 
 def draw_pruned_tree_pair(rt: RootedTree, leaf_set) -> DrawingPair:

@@ -156,7 +156,9 @@ def region_margin(p: Sequence[float], q: Sequence[float], beta: float,
     d = dist(p, q)
     if d == 0.0:
         raise DegenerateInput("beta region undefined for coincident points")
-    if math.isinf(beta):
+    if not beta >= 1.0:
+        raise DegenerateInput(f"beta must lie in [1, inf], got {beta!r}")
+    if beta == BETA_INF:
         u = ((q[0] - p[0]) / d, (q[1] - p[1]) / d)
         proj = dot(vsub(w, p), u)
         return min(proj, d - proj)

@@ -2,8 +2,8 @@
 
 The extractor is the ground truth: for every vertex pair of one side it
 scans all vertices of the other side and keeps the edge exactly when no
-witness lies in the pair's beta region.  The verifier reuses the same
-margin computation to diff a claimed drawing against that rule.
+witness lies in the pair's beta region.  The verifier diffs a claimed
+drawing against that rule; both read their verdicts from ``side_verdicts``.
 """
 from __future__ import annotations
 
@@ -130,10 +130,6 @@ class ParallelogramDrawingCheck:
 # vectorized margins
 # ---------------------------------------------------------------------------
 
-def _as_array(points: Sequence[Point]) -> np.ndarray:
-    return np.asarray([(p[0], p[1]) for p in points], dtype=float)
-
-
 def pair_witness_margins(P: np.ndarray, Q: np.ndarray, W: np.ndarray,
                          beta: float) -> Tuple[np.ndarray, np.ndarray]:
     """Margins and scales of every witness against every (p, q) pair.
@@ -142,20 +138,20 @@ def pair_witness_margins(P: np.ndarray, Q: np.ndarray, W: np.ndarray,
     ``(margin, scale)`` of shape ``(m, k)``; positive margin means the
     witness is inside the open region by that Euclidean depth.
     """
+    if not beta >= 1.0:
+        raise DegenerateInput(f"beta must lie in [1, inf], got {beta!r}")
     d = np.linalg.norm(Q - P, axis=1)
     if np.any(d == 0.0):
         raise DegenerateInput("beta region undefined for coincident points")
     dw_p = np.linalg.norm(W[None, :, :] - P[:, None, :], axis=2)
     dw_q = np.linalg.norm(W[None, :, :] - Q[:, None, :], axis=2)
     scale = np.maximum(d[:, None], np.maximum(dw_p, dw_q))
-    if math.isinf(beta):
+    if beta == BETA_INF:
         u = (Q - P) / d[:, None]
         rel = W[None, :, :] - P[:, None, :]
         proj = np.einsum("mc,mkc->mk", u, rel)
         margin = np.minimum(proj, d[:, None] - proj)
         return margin, scale
-    if not (beta >= 1.0 and math.isfinite(beta)):
-        raise DegenerateInput(f"beta must lie in [1, inf], got {beta!r}")
     half = beta / 2.0
     c1 = (1.0 - half) * P + half * Q
     c2 = half * P + (1.0 - half) * Q
@@ -165,22 +161,47 @@ def pair_witness_margins(P: np.ndarray, Q: np.ndarray, W: np.ndarray,
     return np.minimum(m1, m2), scale
 
 
-def _all_pairs(n: int) -> Tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class SideVerdicts:
+    """Witness verdicts of one side's vertex pairs ``(iu[i], jv[i])``, ``iu < jv``.
+
+    ``closed_hit`` / ``open_hit`` say whether some witness lies within
+    tolerance of the closed region / deeper than tolerance inside the open
+    one; ``witness`` is the deepest witness, with its ``depth`` (margin)
+    and local ``scale``.
+    """
+
+    iu: np.ndarray
+    jv: np.ndarray
+    is_edge: np.ndarray
+    closed_hit: np.ndarray
+    open_hit: np.ndarray
+    witness: np.ndarray
+    depth: np.ndarray
+    scale: np.ndarray
+
+
+def side_verdicts(own: Sequence[Point], other: Sequence[Point], beta: float,
+                  edges: Sequence[Tuple[int, int]] = (), margin: float = TOL
+                  ) -> SideVerdicts:
+    """Verdicts of every pair of ``own`` against the witnesses ``other``.
+
+    One margin table is computed; the tolerance is ``max(TOL, margin)``
+    times each witness's local scale.
+    """
+    n = len(own)
     iu, jv = np.triu_indices(n, k=1)
-    return iu, jv
-
-
-def _side_margin_tables(points_own: Sequence[Point], points_other: Sequence[Point],
-                        beta: float):
-    """Pair indices plus the (pairs x witnesses) margin/scale tables."""
-    n = len(points_own)
-    iu, jv = _all_pairs(n)
-    if len(iu) == 0:
-        return iu, jv, None, None
-    A = _as_array(points_own)
-    W = _as_array(points_other)
-    margin, scale = pair_witness_margins(A[iu], A[jv], W, beta)
-    return iu, jv, margin, scale
+    A = np.asarray(own, dtype=float)
+    marg, scale = pair_witness_margins(A[iu], A[jv], np.asarray(other, dtype=float), beta)
+    tol = max(TOL, margin) * scale
+    e = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[e[:, 0], e[:, 1]] = adj[e[:, 1], e[:, 0]] = True
+    best = np.argmax(marg, axis=1)[:, None]
+    return SideVerdicts(
+        iu, jv, adj[iu, jv], (marg >= -tol).any(axis=1), (marg > tol).any(axis=1),
+        best[:, 0], np.take_along_axis(marg, best, 1)[:, 0],
+        np.take_along_axis(scale, best, 1)[:, 0])
 
 
 def _check_distinct(points: Sequence[Point], side: str):
@@ -207,14 +228,9 @@ def extract_mw_graphs(points0: Sequence[Point], points1: Sequence[Point],
     _check_distinct(pts1, "side 1")
     result = []
     for own, other in ((pts0, pts1), (pts1, pts0)):
-        iu, jv, margin, scale = _side_margin_tables(own, other, beta)
-        edges = []
-        if margin is not None:
-            tol = TOL * scale
-            inside = margin >= -tol if closed else margin > tol
-            blocked = inside.any(axis=1)
-            edges = [(int(a), int(b)) for a, b, bl in zip(iu, jv, blocked) if not bl]
-        result.append(tuple(sorted(edges)))
+        v = side_verdicts(own, other, beta)
+        free = ~(v.closed_hit if closed else v.open_hit)
+        result.append(tuple(zip(v.iu[free].tolist(), v.jv[free].tolist())))
     return result[0], result[1]
 
 
@@ -225,65 +241,39 @@ def verify(d: DrawingPair, beta: float, mode: str = "strict",
     ``closed`` mode tests the closed-region semantics, ``open`` the open
     ones, and ``strict`` demands both at once: adjacent pairs keep their
     closed region witness-free while non-adjacent pairs have a witness in
-    the open region.  Violations carry the relevant witness margin;
-    borderline verdicts (within tolerance of the boundary) are listed
-    separately.
+    the open region.  ``margin`` is the relative tolerance; it must be a
+    finite nonnegative real, and values below ``TOL`` mean ``TOL``.
+    Violations carry the deepest witness margin; borderline verdicts
+    (within tolerance of the boundary) are listed separately.
     """
     if mode not in ("open", "closed", "strict"):
         raise DegenerateInput(f"unknown mode {mode!r}")
+    if not (margin >= 0.0 and math.isfinite(margin)):
+        raise DegenerateInput(f"margin must be a finite real >= 0, got {margin!r}")
     violations: List[Violation] = []
     borderline: List[Tuple[int, Tuple[int, int], float]] = []
     for side in (0, 1):
-        own = d.side(side)
-        other = d.side(1 - side)
-        edge_set = set(d.edges(side))
-        iu, jv, marg, scale = _side_margin_tables(own, other, beta)
-        if marg is None:
-            continue
-        tol = np.maximum(TOL, margin) * scale
-        closed_in = marg >= -tol
-        open_in = marg > tol
-        best = np.argmax(marg, axis=1)
-        rows = np.arange(len(iu))
-        best_margin = marg[rows, best]
-        for idx in range(len(iu)):
-            pair = (int(iu[idx]), int(jv[idx]))
-            is_edge = pair in edge_set
-            has_closed = bool(closed_in[idx].any())
-            has_open = bool(open_in[idx].any())
-            bm = float(best_margin[idx])
-            if abs(bm) <= float(tol[idx, best[idx]]):
-                borderline.append((side, pair, bm))
-            if mode == "closed":
-                if is_edge and has_closed:
-                    w = int(np.argmax(marg[idx]))
-                    violations.append(Violation(side, pair, "ForbiddenWitness", w, bm))
-                elif not is_edge and not has_closed:
-                    violations.append(Violation(side, pair, "MissingWitness", None, bm))
-            elif mode == "open":
-                if is_edge and has_open:
-                    w = int(np.argmax(marg[idx]))
-                    violations.append(Violation(side, pair, "ForbiddenWitness", w, bm))
-                elif not is_edge and not has_open:
-                    violations.append(Violation(side, pair, "MissingWitness", None, bm))
-            else:  # strict
-                if is_edge and has_closed:
-                    w = int(np.argmax(marg[idx]))
-                    violations.append(Violation(side, pair, "ForbiddenWitness", w, bm))
-                elif not is_edge and not has_open:
-                    violations.append(Violation(side, pair, "MissingWitness", None, bm))
+        v = side_verdicts(d.side(side), d.side(1 - side), beta, d.edges(side), margin)
+        forbidden = v.is_edge & (v.open_hit if mode == "open" else v.closed_hit)
+        missing = ~v.is_edge & ~(v.closed_hit if mode == "closed" else v.open_hit)
+        near = np.abs(v.depth) <= max(TOL, margin) * v.scale
+        for idx in np.flatnonzero(near).tolist():
+            borderline.append((side, (int(v.iu[idx]), int(v.jv[idx])), float(v.depth[idx])))
+        for idx in np.flatnonzero(forbidden | missing).tolist():
+            pair = (int(v.iu[idx]), int(v.jv[idx]))
+            if forbidden[idx]:
+                violations.append(Violation(side, pair, "ForbiddenWitness",
+                                            int(v.witness[idx]), float(v.depth[idx])))
+            else:
+                violations.append(Violation(side, pair, "MissingWitness", None,
+                                            float(v.depth[idx])))
     return VerificationReport(mode, beta, tuple(violations), tuple(borderline))
 
 
 def verify_universal(d: DrawingPair, betas: Optional[Sequence[float]] = None
                      ) -> List[VerificationReport]:
     """Strict-mode verification at each sampled beta (default sample)."""
-    if betas is None:
-        betas = DEFAULT_BETAS
-    for b in betas:
-        if not (b >= 1.0):
-            raise DegenerateInput(f"beta {b!r} outside [1, inf]")
-    return [verify(d, b, "strict") for b in betas]
+    return [verify(d, b, "strict") for b in (DEFAULT_BETAS if betas is None else betas)]
 
 
 # ---------------------------------------------------------------------------

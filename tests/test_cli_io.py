@@ -150,6 +150,15 @@ class TestCli:
         assert cli_main(["verify", "-i", str(drawing), "--beta", "1",
                          "--mode", "closed"]) == 1
 
+    @pytest.mark.parametrize("margin", ["nan", "inf", "-1e-3"])
+    def test_verify_bad_margin_is_an_error(self, tmp_path, capsys, margin):
+        drawing = tmp_path / "drawing.json"
+        save_drawing(DrawingDocument(draw_star_pair(2).drawing), str(drawing))
+        assert cli_main(["verify", "-i", str(drawing), "--beta", "1",
+                         "--mode", "closed", f"--margin={margin}"]) == 1
+        out = capsys.readouterr()
+        assert "error: DegenerateInput" in out.err and "violation" not in out.out
+
     def test_draw_non_caterpillar_fails(self, tmp_path):
         tree = tmp_path / "tree.json"
         spider = Tree(7, ((0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)))

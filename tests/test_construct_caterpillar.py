@@ -9,6 +9,25 @@ from mwtrees.geometry import TOL, Point
 from mwtrees.proximity import DrawingPair, extract_mw_graphs, verify
 from mwtrees.tree_model import caterpillar_decompose, gen_random_caterpillar
 
+# Exact coordinates of two seeded caterpillars whose drawings take non-zero
+# suffix nudges: profile -> (nudges, points0, points1).
+NUDGED_GOLDEN = {
+    (0, 1, 0, 2, 0): (
+        [0.1414213562373095, 0.1414213562373095],
+        [(-1.5, 0.5), (0.5, 0.5), (28.35857864376269, 8.5), (42.21715728752538, 0.5),
+         (-1.5, 8.5), (2.5, 0.5), (46.21715728752538, 0.5), (42.21715728752538, 8.5)],
+        [(1.5, -0.5), (-0.5, -0.5), (15.35857864376269, -8.5), (45.21715728752538, -0.5),
+         (1.5, -8.5), (-2.5, -0.5), (41.21715728752538, -0.5), (45.21715728752538, -8.5)]),
+    (1, 1, 1, 1): (
+        [0.282842712474619, 0.282842712474619, 0.282842712474619],
+        [(30.651471862576145, 0.5), (11.217157287525382, 0.5), (9.217157287525382, 2.5),
+         (20.934314575050763, 0.5), (-0.5, 2.5), (1.5, 0.5), (28.651471862576145, 2.5),
+         (18.934314575050763, 2.5)],
+        [(27.651471862576145, -0.5), (8.217157287525382, -0.5), (10.217157287525382, -2.5),
+         (17.934314575050763, -0.5), (0.5, -2.5), (-1.5, -0.5), (29.651471862576145, -2.5),
+         (19.934314575050763, -2.5)]),
+}
+
 
 def check_caterpillar(tree):
     dec = caterpillar_decompose(tree)
@@ -70,6 +89,16 @@ class TestProfiles:
         d = check_caterpillar(tree)
         ref = draw_star_pair(3).drawing
         assert sorted(d.points0) == sorted(ref.points0)
+
+    @pytest.mark.parametrize("profile", sorted(NUDGED_GOLDEN),
+                             ids=lambda p: "-".join(map(str, p)))
+    def test_nudged_golden_coordinates(self, profile):
+        nudges, pts0, pts1 = NUDGED_GOLDEN[profile]
+        tree = gen_random_caterpillar(len(profile), list(profile), 7)
+        d = draw_caterpillar_pair(caterpillar_decompose(tree))
+        assert d.trace.data["suffix_nudges"] == nudges
+        assert d.points0 == tuple(pts0)  # bit-exact
+        assert d.points1 == tuple(pts1)
 
     def test_random_sweep(self):
         rng = random.Random(77)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mwtrees.construct import draw_pruned_tree_pair
-from mwtrees.errors import HeightTooSmall, SparseViolation
+from mwtrees.errors import DegenerateGeometry, HeightTooSmall, SparseViolation
 from mwtrees.proximity import verify_universal
 from mwtrees.tree_model import (
     RootedTree,
@@ -30,6 +30,11 @@ class TestCorollaryFamily:
         assert len(d.edges0) == 6 * m
         assert len(d.edges1) == 5 * m
         assert_universal(d)
+
+    def test_m11_fails_at_the_root_gate(self):
+        rt, leaf_set = gen_corollary_family(11)
+        with pytest.raises(DegenerateGeometry, match=r"subtree at 0 fails strict .* beta="):
+            draw_pruned_tree_pair(rt, leaf_set)
 
     def test_m1_sides(self):
         rt, leaf_set = gen_corollary_family(1)

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from mwtrees.errors import DegenerateInput, MissingAnnotation
-from mwtrees.geometry import BETA_INF, Point, rotate_about
+from mwtrees.geometry import BETA_INF, TOL, Point, region_margin, rotate_about
 from mwtrees.proximity import (
     DrawingPair,
     ParallelogramAnnotation,
@@ -120,6 +120,78 @@ class TestVerify:
         d = DrawingPair(PATH0, PATH1, PATH_EDGES, PATH_EDGES)
         with pytest.raises(DegenerateInput):
             verify(d, 1.0, "weird")
+
+    @pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf, -1e-3])
+    def test_bad_margin_rejected(self, margin):
+        d = DrawingPair(PATH0, PATH1, PATH_EDGES, PATH_EDGES)
+        with pytest.raises(DegenerateInput):
+            verify(d, 1.0, "strict", margin)
+
+    def test_margin_below_tol_means_tol(self):
+        # the witness sits exactly on the Gabriel circle of the pair (0, 2)
+        d = DrawingPair(PATH0, ((1.0, -1.0),), PATH_EDGES, ())
+        ref = verify(d, 1.0, "closed")
+        assert [b[:2] for b in ref.borderline] == [(0, (0, 2))]
+        for margin in (0.0, TOL / 10):
+            assert verify(d, 1.0, "closed", margin) == ref
+
+    # Grid points put witnesses exactly on Gabriel circles, where closed and
+    # open semantics differ; the oracle decides those exactly only at beta 1.
+    @pytest.mark.parametrize("beta, grid", [(1.0, False), (1.7, False), (BETA_INF, False),
+                                            (1.0, True)])
+    def test_corrupted_edges_match_bruteforce(self, rng, beta, grid):
+        """Every mode reports exactly the pairs the plain-loop oracle implies."""
+        cells = [Point(x, y) for x in range(4) for y in range(4)]
+        for _ in range(15):
+            if grid:
+                pts = rng.sample(cells, 13)
+                a, b = pts[:7], pts[7:]
+            else:
+                a = random_points(rng, 7)
+                b = random_points(rng, 6)
+            closed_g = brute_mw_edges(a, b, beta, True)
+            open_g = brute_mw_edges(a, b, beta, False)
+            claim = []
+            for side, pts in ((0, a), (1, b)):
+                edges = set(closed_g[side])
+                non_edges = [(i, j) for i in range(len(pts))
+                             for j in range(i + 1, len(pts)) if (i, j) not in edges]
+                if edges:
+                    edges.remove(rng.choice(sorted(edges)))
+                if non_edges:
+                    edges.add(rng.choice(non_edges))
+                claim.append(tuple(sorted(edges)))
+            d = DrawingPair(a, b, claim[0], claim[1])
+            # a claimed edge must be an edge of the first graph, a claimed
+            # non-edge a non-edge of the second
+            for mode, edge_g, non_edge_g in (("closed", closed_g, closed_g),
+                                             ("open", open_g, open_g),
+                                             ("strict", closed_g, open_g)):
+                want = set()
+                for side in (0, 1):
+                    n = len(d.side(side))
+                    for pair in ((i, j) for i in range(n) for j in range(i + 1, n)):
+                        if pair in claim[side] and pair not in edge_g[side]:
+                            want.add((side, pair, "ForbiddenWitness"))
+                        if pair not in claim[side] and pair in non_edge_g[side]:
+                            want.add((side, pair, "MissingWitness"))
+                rep = verify(d, beta, mode)
+                got = [(v.side, v.pair, v.kind) for v in rep.violations]
+                assert len(got) == len(set(got)) and set(got) == want, (beta, mode)
+
+
+class TestBetaDomain:
+    @pytest.mark.parametrize("beta", [-math.inf, math.nan, 0.5])
+    def test_beta_outside_domain_rejected(self, beta):
+        d = DrawingPair(PATH0, PATH1, PATH_EDGES, PATH_EDGES)
+        with pytest.raises(DegenerateInput):
+            extract_mw_graphs(PATH0, PATH1, beta, True)
+        with pytest.raises(DegenerateInput):
+            region_margin(PATH0[0], PATH0[2], beta, PATH1[1])
+        with pytest.raises(DegenerateInput):
+            verify(d, beta, "strict")
+        with pytest.raises(DegenerateInput):
+            verify(DrawingPair((Point(0, 0),), (Point(5, 5),)), beta, "strict")
 
 
 CANON = ParallelogramAnnotation(Point(0, 3), Point(1, 1), Point(3, 0), Point(2, 2),
