@@ -28,7 +28,6 @@ from .geometry import (
     BetaRegion,
     Line,
     Point,
-    Ray,
     Segment,
     Wedge,
     WingedParallelogram,

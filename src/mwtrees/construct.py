@@ -20,6 +20,7 @@ invalid drawing.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -183,11 +184,16 @@ def redraw_pruned_stars(wpd: WPDrawing, keep0: Sequence[int], keep1: Sequence[in
 # ---------------------------------------------------------------------------
 
 def _min_pair_distance(points: Sequence[Point]) -> float:
-    best = math.inf
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            best = min(best, dist(points[i], points[j]))
-    return best
+    """Smallest ``dist`` over all point pairs, the same float a pairwise loop gives:
+    squares pick the pairs within 1e-6 of the minimum (all, if it is not normal)."""
+    A = np.asarray(points, dtype=float).reshape(-1, 2)
+    i, j = np.triu_indices(len(A), k=1)
+    dx, dy = (A[i] - A[j]).T
+    with np.errstate(over="ignore"):  # an all-inf minimum falls back below
+        sq = dx * dx + dy * dy
+    lo = sq.min(initial=math.inf)
+    near = sq <= lo * (1.0 + 1e-6) if np.finfo(float).tiny <= lo < math.inf else slice(None)
+    return min([math.inf] + list(map(math.hypot, dx[near].tolist(), dy[near].tolist())))
 
 
 def _extent(points: Sequence[Point]) -> float:
@@ -206,10 +212,13 @@ def _translate_subset(d: DrawingPair, block0: Set[int], block1: Set[int],
     return replace(d, points0=pts0, points1=pts1)
 
 
-def _gabriel_flags(d: DrawingPair):
+@functools.lru_cache(maxsize=1)
+def _gabriel_flags(points0, points1, edges0, edges1):
     """Closed Gabriel violations and strict verdicts of both sides' pairs, each
-    judged by the pair's deepest witness alone, plus the per-side verdicts."""
-    vs = [side_verdicts(d.side(s), d.side(1 - s), 1.0, d.edges(s)) for s in (0, 1)]
+    judged by the pair's deepest witness alone, plus the per-side verdicts.  Memoised:
+    a nudge's accepted candidate is the next gap's drawing; do not mutate results."""
+    vs = [side_verdicts(own, other, 1.0, edges)
+          for own, other, edges in ((points0, points1, edges0), (points1, points0, edges1))]
     is_edge, depth, scale = (np.concatenate([getattr(v, f) for v in vs])
                              for f in ("is_edge", "depth", "scale"))
     tol = TOL * scale
@@ -239,7 +248,7 @@ def compute_safe_perturbation(d: DrawingPair, block0: Set[int], block1: Set[int]
     base = min_d / 10.0
     floor = 1e-12 * scale
 
-    orig_bad, strict, before = _gabriel_flags(d)
+    orig_bad, strict, before = _gabriel_flags(d.points0, d.points1, d.edges0, d.edges1)
     moving = [np.isin(np.arange(len(d.side(s))), list(b)) for s, b in ((0, b0), (1, b1))]
     target = np.concatenate([v.is_edge & (m[v.iu] != m[v.jv]) for v, m in zip(before, moving)])
     if not target.any() and not orig_bad.any():
@@ -248,8 +257,8 @@ def compute_safe_perturbation(d: DrawingPair, block0: Set[int], block1: Set[int]
 
     eps = base
     while eps >= floor:
-        now_bad, now_strict, _ = _gabriel_flags(
-            _translate_subset(d, b0, b1, (eps * u.x, eps * u.y)))
+        m = _translate_subset(d, b0, b1, (eps * u.x, eps * u.y))
+        now_bad, now_strict, _ = _gabriel_flags(m.points0, m.points1, m.edges0, m.edges1)
         if not (now_bad & (~orig_bad | target)).any() and not (kept_strict & ~now_strict).any():
             return eps
         eps /= 2.0

@@ -201,28 +201,6 @@ class Line:
 
 
 @dataclass(frozen=True)
-class Ray:
-    """Half-line from ``origin`` along unit ``direction``."""
-
-    origin: Point
-    direction: Point
-
-    def __post_init__(self):
-        object.__setattr__(self, "origin", Point(*self.origin))
-        object.__setattr__(self, "direction", unit(self.direction))
-
-    def at_height(self, y: float) -> Point:
-        """Point of the ray at the given y, if the ray reaches it."""
-        dy = self.direction.y
-        if dy == 0.0:
-            raise DegenerateInput("horizontal ray never reaches other heights")
-        t = (y - self.origin.y) / dy
-        if t < 0.0:
-            raise DegenerateInput("height lies behind the ray origin")
-        return Point(self.origin.x + t * self.direction.x, y)
-
-
-@dataclass(frozen=True)
 class Segment:
     a: Point
     b: Point
@@ -314,9 +292,15 @@ def _wedge_and_port(apex: Point, root: Point, anchor: Point) -> tuple[Wedge, Poi
     d2 = unit(perp(vsub(anchor, apex)))
     if cross(d1, d2) < 0.0:
         d2 = Point(-d2.x, -d2.y)
-    wedge = Wedge(apex, d1, d2)
-    port = Ray(apex, d1).at_height(root.y)
-    return wedge, port
+    # the port is where the first ray reaches the root's height; d1 is
+    # normalised once more, and the port's last bits depend on that
+    r = unit(d1)
+    if r.y == 0.0:
+        raise DegenerateInput("horizontal ray never reaches other heights")
+    t = (root.y - apex.y) / r.y
+    if t < 0.0:
+        raise DegenerateInput("height lies behind the ray origin")
+    return Wedge(apex, d1, d2), Point(apex.x + t * r.x, root.y)
 
 
 def build_winged_parallelogram(a0, b0, a1, b1, q0, q1) -> WingedParallelogram:

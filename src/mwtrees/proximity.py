@@ -130,35 +130,43 @@ class ParallelogramDrawingCheck:
 # vectorized margins
 # ---------------------------------------------------------------------------
 
+def _dist_table(W: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """``|W[k] - C[m]|`` as an ``(m, k)`` table, bit-identical to ``np.linalg.norm``."""
+    dx = W[..., 0] - C[:, 0, None]
+    dy = W[..., 1] - C[:, 1, None]
+    dx *= dx
+    dx += np.multiply(dy, dy, out=dy)
+    return np.sqrt(dx, out=dx)
+
+
 def pair_witness_margins(P: np.ndarray, Q: np.ndarray, W: np.ndarray,
                          beta: float) -> Tuple[np.ndarray, np.ndarray]:
     """Margins and scales of every witness against every (p, q) pair.
 
     ``P``/``Q`` are ``(m, 2)`` pair endpoints, ``W`` is ``(k, 2)``.  Returns
     ``(margin, scale)`` of shape ``(m, k)``; positive margin means the
-    witness is inside the open region by that Euclidean depth.
+    witness is inside the open region by that Euclidean depth.  Every
+    temporary is an ``(m, k)`` table.
     """
     if not beta >= 1.0:
         raise DegenerateInput(f"beta must lie in [1, inf], got {beta!r}")
-    d = np.linalg.norm(Q - P, axis=1)
+    d = _dist_table(Q[:, None], P)  # (m, 1): |Q[m] - P[m]|
     if np.any(d == 0.0):
         raise DegenerateInput("beta region undefined for coincident points")
-    dw_p = np.linalg.norm(W[None, :, :] - P[:, None, :], axis=2)
-    dw_q = np.linalg.norm(W[None, :, :] - Q[:, None, :], axis=2)
-    scale = np.maximum(d[:, None], np.maximum(dw_p, dw_q))
+    scale = np.maximum(d, np.maximum(_dist_table(W, P), _dist_table(W, Q)))
     if beta == BETA_INF:
-        u = (Q - P) / d[:, None]
-        rel = W[None, :, :] - P[:, None, :]
-        proj = np.einsum("mc,mkc->mk", u, rel)
-        margin = np.minimum(proj, d[:, None] - proj)
-        return margin, scale
+        u = (Q - P) / d
+        # ``+ 0.0`` as in a zero-started sum: an exact-zero projection is 0.0, not -0.0
+        proj = (W[:, 0] - P[:, 0, None]) * u[:, 0, None] + 0.0
+        proj += (W[:, 1] - P[:, 1, None]) * u[:, 1, None]
+        return np.minimum(proj, d - proj), scale
     half = beta / 2.0
     c1 = (1.0 - half) * P + half * Q
     c2 = half * P + (1.0 - half) * Q
     r = half * d
-    m1 = r[:, None] - np.linalg.norm(W[None, :, :] - c1[:, None, :], axis=2)
-    m2 = r[:, None] - np.linalg.norm(W[None, :, :] - c2[:, None, :], axis=2)
-    return np.minimum(m1, m2), scale
+    m1 = r - _dist_table(W, c1)
+    m2 = r - _dist_table(W, c2)
+    return np.minimum(m1, m2, out=m1), scale
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import mwtrees.construct as construct
 from mwtrees.construct import compute_safe_perturbation, draw_caterpillar_pair
 from mwtrees.errors import NoSafeEps
 from mwtrees.geometry import TOL, Point
@@ -100,6 +101,28 @@ class TestProfiles:
         assert d.points0 == tuple(pts0)  # bit-exact
         assert d.points1 == tuple(pts1)
 
+    @pytest.mark.parametrize("profile", sorted(NUDGED_GOLDEN),
+                             ids=lambda p: "-".join(map(str, p)))
+    def test_nudge_reuses_accepted_verdicts(self, profile, monkeypatch):
+        """Each nudge's accepted candidate serves as the next gap's starting
+        verdicts, so the drawing builds one two-side beta=1 table per non-zero
+        nudge, plus the first one."""
+        nudges, pts0, pts1 = NUDGED_GOLDEN[profile]
+        tree = gen_random_caterpillar(len(profile), list(profile), 7)
+        builds = []
+        real = construct.side_verdicts
+
+        def counting(own, other, beta, *args, **kwargs):
+            if len(own) == tree.n:
+                builds.append(beta)
+            return real(own, other, beta, *args, **kwargs)
+
+        monkeypatch.setattr(construct, "side_verdicts", counting)
+        construct._gabriel_flags.cache_clear()
+        d = draw_caterpillar_pair(caterpillar_decompose(tree))
+        assert d.points0 == tuple(pts0) and d.points1 == tuple(pts1)
+        assert builds == [1.0] * 2 * (sum(e != 0.0 for e in nudges) + 1)
+
     def test_random_sweep(self):
         rng = random.Random(77)
         for trial in range(40):
@@ -107,6 +130,54 @@ class TestProfiles:
             counts = [rng.randint(0, 4) for _ in range(spine)]
             tree = gen_random_caterpillar(spine, counts, 400 + trial)
             check_caterpillar(tree)
+
+
+def loop_min_pair_distance(points):
+    """The pairwise loop ``_min_pair_distance`` must reproduce bit for bit."""
+    best = math.inf
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            best = min(best, math.hypot(points[i][0] - points[j][0],
+                                        points[i][1] - points[j][1]))
+    return best
+
+
+class TestMinPairDistance:
+    def check(self, points):
+        got = construct._min_pair_distance([Point(*p) for p in points])
+        assert got.hex() == loop_min_pair_distance(points).hex()
+        return got
+
+    def test_random_sets(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            span = 10.0 ** rng.uniform(-200, 200)
+            n = rng.randint(2, 30)
+            self.check([(rng.gauss(0, span), rng.gauss(0, span)) for _ in range(n)])
+
+    @pytest.mark.parametrize("step", [0.1, 0.3, 1.7e-5, 3e100, 1e-160])
+    def test_grids_with_tied_minima(self, step):
+        # rounding makes the "tied" grid distances differ in the last ulp
+        self.check([(step * i + 0.7, step * j - 0.2) for i in range(7) for j in range(5)])
+        self.check([(step * i, step * (i % 3)) for i in range(20)])
+
+    def test_squares_and_distances_disagree(self):
+        # the pair with the smaller square has the larger distance, by an ulp
+        assert self.check([(0.0, 0.0), (1.4161877375793905, 1.0214184683123162),
+                           (-1.676748356553432, 0.48723540950455935)]) == 1.7461052074487695
+
+    def test_subnormal_squares(self):
+        # squares below the normal range lose the precision that orders them
+        self.check([(0.0, 6.080751134683796e-162),
+                    (9.256254505018667e-163, 1.3512780299297323e-162),
+                    (5.5537527030112e-162, 6.080751134683796e-162),
+                    (1.8512509010037334e-162, 4.053834089789197e-162)])
+
+    def test_coincident_points(self):
+        assert self.check([(1.0, 2.0), (3.0, 4.0), (1.0, 2.0)]) == 0.0
+
+    def test_one_point(self):
+        assert self.check([(1.0, 2.0)]) == math.inf
 
 
 class TestSafePerturbation:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from mwtrees.errors import DegenerateInput, MissingAnnotation
@@ -9,6 +10,7 @@ from mwtrees.proximity import (
     ParallelogramAnnotation,
     check_parallelogram_drawing,
     extract_mw_graphs,
+    pair_witness_margins,
     strip_ratio,
     verify,
     verify_universal,
@@ -192,6 +194,53 @@ class TestBetaDomain:
             verify(d, beta, "strict")
         with pytest.raises(DegenerateInput):
             verify(DrawingPair((Point(0, 0),), (Point(5, 5),)), beta, "strict")
+
+
+def reference_margins(P, Q, W, beta):
+    """The margin kernel as first written: ``np.linalg.norm`` over ``(m, k, 2)``
+    temporaries and an ``einsum`` projection."""
+    d = np.linalg.norm(Q - P, axis=1)
+    dw_p = np.linalg.norm(W[None, :, :] - P[:, None, :], axis=2)
+    dw_q = np.linalg.norm(W[None, :, :] - Q[:, None, :], axis=2)
+    scale = np.maximum(d[:, None], np.maximum(dw_p, dw_q))
+    if beta == BETA_INF:
+        u = (Q - P) / d[:, None]
+        proj = np.einsum("mc,mkc->mk", u, W[None, :, :] - P[:, None, :])
+        return np.minimum(proj, d[:, None] - proj), scale
+    half = beta / 2.0
+    c1 = (1.0 - half) * P + half * Q
+    c2 = half * P + (1.0 - half) * Q
+    r = half * d
+    m1 = r[:, None] - np.linalg.norm(W[None, :, :] - c1[:, None, :], axis=2)
+    m2 = r[:, None] - np.linalg.norm(W[None, :, :] - c2[:, None, :], axis=2)
+    return np.minimum(m1, m2), scale
+
+
+class TestMarginKernel:
+    @pytest.mark.parametrize("beta", [1.0, 1.5, 1.7, 2.0, 5.0, 10.0, BETA_INF])
+    def test_bitwise_equal_to_reference(self, beta):
+        """Margins and scales match the reference bit for bit, signed zeros
+        included, at spans from 1e-6 to 1e6 and on binary grids, where
+        witnesses sit exactly on region boundaries."""
+        gen = np.random.default_rng(20231)
+        zeros = 0
+        for trial in range(400):
+            m, k = (int(x) for x in gen.integers(1, 10, size=2))
+            if trial % 2:
+                e = int(gen.integers(-20, 21))
+                P, Q, W = (np.ldexp(gen.integers(-3, 4, size=(n, 2)).astype(float), e)
+                           for n in (m, m, k))
+                Q[(P == Q).all(axis=1), 0] += 2.0 ** e
+            else:
+                span = 10.0 ** gen.uniform(-6, 6)
+                P, Q, W = (gen.normal(size=(n, 2)) * span for n in (m, m, k))
+            want = reference_margins(P, Q, W, beta)
+            got = pair_witness_margins(P, Q, W, beta)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert np.array_equal(g.view(np.int64), w.view(np.int64)), trial
+            zeros += int((want[0] == 0.0).sum())
+        assert zeros > 0
 
 
 CANON = ParallelogramAnnotation(Point(0, 3), Point(1, 1), Point(3, 0), Point(2, 2),
