@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import construct
-from .errors import MWTreesError, ParseError
+from .errors import InvalidSpec, MWTreesError, ParseError
 from .geometry import BETA_INF, Line, Point
 from .proximity import (
     ConstructionTrace,
@@ -198,8 +198,7 @@ def drawing_from_json(data: dict) -> DrawingDocument:
     edges0 = parse_edges(data.get("edges0", []), "edges0", len(pts0))
     edges1 = parse_edges(data.get("edges1", []), "edges1", len(pts1))
 
-    line = None
-    ann = None
+    sl = pg = None
     trace = None
     raw_ann = data.get("annotations") or {}
     _require(isinstance(raw_ann, dict), "field 'annotations' must be an object")
@@ -208,25 +207,26 @@ def drawing_from_json(data: dict) -> DrawingDocument:
         _require(isinstance(sl, dict) and all(
             isinstance(sl.get(k), (int, float)) for k in ("px", "py", "dx", "dy")),
             "separating_line needs numeric px, py, dx, dy")
-        line = Line(Point(sl["px"], sl["py"]), Point(sl["dx"], sl["dy"]))
     if "parallelogram" in raw_ann:
         pg = raw_ann["parallelogram"]
         _require(isinstance(pg, dict), "parallelogram must be an object")
-        corners = {}
         for key in ("a0", "b0", "a1", "b1"):
             c = pg.get(key)
             _require(isinstance(c, list) and len(c) == 2
                      and all(isinstance(x, (int, float)) for x in c),
                      f"parallelogram.{key} must be [x, y]")
-            corners[key] = Point(c[0], c[1])
-        ids = pg.get("ids") or {}
-        ann = ParallelogramAnnotation(
-            corners["a0"], corners["b0"], corners["a1"], corners["b1"],
-            a0_id=ids.get("a0"), b0_id=ids.get("b0"),
-            a1_id=ids.get("a1"), b1_id=ids.get("b1"))
+        _require(isinstance(pg.get("ids") or {}, dict), "parallelogram.ids must be an object")
     if "trace" in raw_ann:
         trace = ConstructionTrace(raw_ann["trace"])
     try:
+        line = None if sl is None else Line(Point(sl["px"], sl["py"]), Point(sl["dx"], sl["dy"]))
+        ann = None
+        if pg is not None:
+            ids = pg.get("ids") or {}
+            ann = ParallelogramAnnotation(
+                *(Point(*pg[key]) for key in ("a0", "b0", "a1", "b1")),
+                a0_id=ids.get("a0"), b0_id=ids.get("b0"),
+                a1_id=ids.get("a1"), b1_id=ids.get("b1"))
         d = DrawingPair(pts0, pts1, edges0, edges1,
                         separating_line=line, parallelogram=ann, trace=trace)
     except MWTreesError as exc:
@@ -429,6 +429,8 @@ def _cmd_gen(args) -> int:
         tree = gen_random_tree(args.n, args.seed, args.max_depth)
         doc = TreeDocument(tree, root=0)
     elif args.kind == "caterpillar":
+        if args.n < 1:
+            raise InvalidSpec("n must be positive")
         import random as _random
         rng = _random.Random(args.seed)
         spine = max(1, min(args.n, 1 + rng.randrange(max(1, args.n // 3))))

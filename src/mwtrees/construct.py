@@ -23,7 +23,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from itertools import accumulate
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -50,7 +51,6 @@ from .geometry import (
     dist,
     dot,
     norm,
-    rotate_about,
     unit,
     vsub,
 )
@@ -196,9 +196,9 @@ def _min_pair_distance(points: Sequence[Point]) -> float:
     return min([math.inf] + list(map(math.hypot, dx[near].tolist(), dy[near].tolist())))
 
 
-def _extent(points: Sequence[Point]) -> float:
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
+def _extent(points: Sequence[Sequence[float]]) -> float:
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
     return max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
 
 
@@ -441,14 +441,28 @@ def draw_caterpillar_pair(cat: CaterpillarDecomposition) -> DrawingPair:
 # recursive parallelogram drawings
 # ---------------------------------------------------------------------------
 
+class _Side(NamedTuple):
+    """One side of a subtree drawing: increasing vertex ids, their points
+    (one row each, in id order) and the edges as vertex-id pairs."""
+
+    ids: np.ndarray
+    xy: np.ndarray
+    edges: np.ndarray
+
+    def rows(self, vids):
+        return np.searchsorted(self.ids, vids)
+
+    def moved(self, vid: int, p: Point) -> "_Side":
+        xy = self.xy.copy()
+        xy[self.rows(vid)] = p
+        return self._replace(xy=xy)
+
+
 @dataclass(frozen=True)
 class _Sub:
     """Subtree drawing in its own frame, with corner annotations."""
 
-    pos0: Dict[int, Point]
-    pos1: Dict[int, Point]
-    edges0: Tuple[Tuple[int, int], ...]
-    edges1: Tuple[Tuple[int, int], ...]
+    sides: Tuple[_Side, _Side]
     a0: Point
     b0: Point
     a1: Point
@@ -464,65 +478,93 @@ class _Sub:
     def height(self) -> float:
         return self.a0.y - self.a1.y
 
-    def all_points(self) -> List[Point]:
-        return list(self.pos0.values()) + list(self.pos1.values())
-
-
-def _xform_sub(sub: _Sub, s: float, tx: float, ty: float) -> _Sub:
-    def f(p: Point) -> Point:
-        return Point(s * p.x + tx, s * p.y + ty)
-
-    return replace(
-        sub,
-        pos0={k: f(p) for k, p in sub.pos0.items()},
-        pos1={k: f(p) for k, p in sub.pos1.items()},
-        a0=f(sub.a0), b0=f(sub.b0), a1=f(sub.a1), b1=f(sub.b1),
-    )
-
-
-def _scale_to_strip(sub: _Sub) -> _Sub:
-    h = sub.height()
-    s = 1.0 / h
-    return _xform_sub(sub, s, -sub.a0.x * s, -sub.a1.y * s)
-
-
-def _sub_drawing(sub: _Sub) -> DrawingPair:
-    ids0 = sorted(sub.pos0)
-    ids1 = sorted(sub.pos1)
-    idx0 = {v: i for i, v in enumerate(ids0)}
-    idx1 = {v: i for i, v in enumerate(ids1)}
-    return DrawingPair(
-        tuple(sub.pos0[v] for v in ids0),
-        tuple(sub.pos1[v] for v in ids1),
-        tuple((idx0[a], idx0[b]) for a, b in sub.edges0),
-        tuple((idx1[a], idx1[b]) for a, b in sub.edges1),
-    )
-
 
 def _gate_sub(sub: _Sub, v: int) -> None:
     """Raise DegenerateGeometry unless the subtree at ``v`` is strictly valid
     at beta 1 and beta inf (hence, by nesting, at every beta)."""
-    if len(sub.pos0) < 2 and len(sub.pos1) < 2:
+    s0, s1 = sub.sides
+    if len(s0.ids) < 2 and len(s1.ids) < 2:
         return
-    d = _sub_drawing(sub)
+    d = DrawingPair(s0.xy.tolist(), s1.xy.tolist(),
+                    s0.rows(s0.edges).tolist(), s1.rows(s1.edges).tolist())
     for beta in (1.0, BETA_INF):
         bad = verify(d, beta, "strict").violations
         if bad:
             f = bad[0]
-            ids = sorted(sub.pos0 if f.side == 0 else sub.pos1)
+            ids = sub.sides[f.side].ids.tolist()
             raise DegenerateGeometry(
                 f"subtree at {v} fails strict verification at beta={beta}: "
                 f"{len(bad)} violation(s), first {f.kind} on side {f.side} pair "
                 f"{(ids[f.pair[0]], ids[f.pair[1]])} margin {f.margin:.3e}")
 
 
-def _edge_points(sub: _Sub, side: int) -> List[Tuple[Point, Point]]:
-    pos = sub.pos0 if side == 0 else sub.pos1
-    edges = sub.edges0 if side == 0 else sub.edges1
-    return [(pos[a], pos[b]) for a, b in edges]
+def _seq_max(values: np.ndarray, start: float) -> float:
+    """``max(start, *values)`` as Python's sequential ``max`` gives it: the
+    first maximal value wins, so a later zero of the other sign is not taken."""
+    if values.size:
+        top = float(values.flat[values.argmax()])
+        if top > start:
+            return top
+    return start
 
 
-def _place_children(subs: List[_Sub]) -> List[_Sub]:
+def _edge_geom(pu, pv: np.ndarray) -> np.ndarray:
+    """Rows ``(ux, uy, ex, ey, ex*ex + ey*ey)``: start ``u``, vector
+    ``e = v - u`` and squared length of the edges from ``pu`` to ``pv``."""
+    g = np.empty((len(pv), 5))
+    if len(pv):
+        g[:, :2] = pu
+        np.subtract(pv, g[:, :2], out=g[:, 2:4])
+        g[:, 4] = g[:, 2] * g[:, 2] + g[:, 3] * g[:, 3]
+    return g
+
+
+def _proj(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``(w - u) . e`` of every edge of ``g`` (rows) and point of ``w`` (columns)."""
+    return (w[:, 0] - g[:, :1]) * g[:, 2:3] + (w[:, 1] - g[:, 1:2]) * g[:, 3:4]
+
+
+class _Stack(NamedTuple):
+    """One side of a level's children, stacked in child order: vertex ids,
+    points, edges as pairs of rows and as ``_edge_geom`` rows, the rows of
+    the child roots, and the first point and first edge row of each child
+    with the totals appended."""
+
+    ids: np.ndarray
+    xy: np.ndarray
+    rows: np.ndarray
+    geom: np.ndarray
+    roots: np.ndarray
+    at: List[int]
+    edge_at: List[int]
+
+
+def _stack(sides: List[_Side], roots: List[int], scale: List[float],
+           shift: List[Tuple[float, float]]) -> _Stack:
+    """Stack the children's sides, child ``j`` scaled by ``scale[j]`` and
+    then shifted by ``shift[j]``."""
+    ids = np.concatenate([side.ids for side in sides])
+    xy = np.concatenate([s * side.xy + t for side, s, t in zip(sides, scale, shift)])
+    order = np.argsort(ids)
+    rows = order[np.searchsorted(ids, np.concatenate([side.edges for side in sides]),
+                                 sorter=order)]
+    return _Stack(ids, xy, rows, _edge_geom(xy[rows[:, 0]], xy[rows[:, 1]]),
+                  order[np.searchsorted(ids, roots, sorter=order)],
+                  list(accumulate((len(side.ids) for side in sides), initial=0)),
+                  list(accumulate((len(side.edges) for side in sides), initial=0)))
+
+
+def _xform_corners(sub: _Sub, s: float, tx: float, ty: float) -> _Sub:
+    """The corners of ``sub`` mapped by ``p -> s p + (tx, ty)``, without its
+    sides: a placed child's points live in its level's stacks."""
+    def f(p: Point) -> Point:
+        return Point(s * p.x + tx, s * p.y + ty)
+
+    return _Sub((), f(sub.a0), f(sub.b0), f(sub.a1), f(sub.b1),
+                sub.b0_id, sub.b1_id, sub.root0, sub.root1)
+
+
+def _place_children(subs: List[_Sub]) -> Tuple[List[_Sub], Tuple[_Stack, _Stack]]:
     """Scale children to the unit strip and chain them left to right.
 
     The offset of each child is the smallest shift making the child's upper
@@ -530,90 +572,74 @@ def _place_children(subs: List[_Sub]) -> List[_Sub]:
     lower-side vertex of the child (and mirrored for the earlier lower
     roots), while keeping every vertex of one child outside the
     perpendicular slabs of the other children's edges; ten percent of the
-    wider adjacent child is added as slack.
+    wider adjacent child is added as slack.  Returns the children with
+    their corners in the level's frame, and both sides stacked, in that frame.
     """
-    scaled = [_scale_to_strip(s) for s in subs]
-    placed = [scaled[0]]
-    for d in range(1, len(scaled)):
-        cand = scaled[d]
-        need = 0.0
+    scale = [1.0 / sub.height() for sub in subs]
+    shift = [(-sub.a0.x * s, -sub.a1.y * s) for sub, s in zip(subs, scale)]
+    stacks = tuple(_stack([sub.sides[i] for sub in subs],
+                          [sub.root1 if i else sub.root0 for sub in subs], scale, shift)
+                   for i in (0, 1))
+    st0, st1 = stacks
+    placed = [_xform_corners(sub, s, tx, ty) for sub, s, (tx, ty) in zip(subs, scale, shift)]
+    lower = np.concatenate([np.full((len(sub.sides[0].ids), 2), kid.a1)
+                            for sub, kid in zip(subs, placed)])  # per side-0 row
+    for d in range(1, len(placed)):
+        newest, cand = placed[d - 1], placed[d]
+        moving = [st.geom[st.edge_at[d]:st.edge_at[d + 1]] for st in stacks]  # not yet moved
+        # The scan over earlier children checks each one's upper vertices,
+        # then its edges and the candidate's.  Children before the newest
+        # passed it for the previous candidate and have not moved since.
+        cand_flat = any((g[:, 2] == 0.0).any() for g in moving)
+        if cand_flat and d > 1:
+            raise DegenerateGeometry("vertical edge during placement")
+        if (st0.xy[st0.at[d - 1]:st0.at[d], 0] - newest.a1.x >= 0.0).any():
+            raise DegenerateGeometry("upper vertex right of its lower root")
+        if cand_flat or any((st.geom[st.edge_at[d - 1]:st.edge_at[d], 2] == 0.0).any()
+                            for st in stacks):
+            raise DegenerateGeometry("vertical edge during placement")
+        # obtuse angle at the candidate's upper root between every earlier
+        # lower vertex and every own lower vertex:
+        #   (w - (r0d + delta)) . (v - r0d) < 0, coefficient (v - r0d).x > 0
         r0d = cand.a0
-        cand_pts = cand.all_points()
-        cand_s1 = list(cand.pos1.values())
-        cand_s0 = list(cand.pos0.values())
-        cand_edges = [(0, _edge_points(cand, 0)), (1, _edge_points(cand, 1))]
-        for sub in placed:
-            # obtuse angle at the candidate's upper root between every earlier
-            # lower vertex and every own lower vertex:
-            #   (w - (r0d + delta)) . (v - r0d) < 0, coefficient (v - r0d).x > 0
-            for v in cand_s1:
-                ev = vsub(v, r0d)
-                for w in list(sub.pos1.values()):
-                    need = max(need, dot(vsub(w, r0d), ev) / ev[0])
-            # mirrored at the earlier child's lower root:
-            #   (u - r1c) . (v + delta - r1c) < 0, coefficient (u - r1c).x < 0
-            r1c = sub.a1
-            for u in list(sub.pos0.values()):
-                eu = vsub(u, r1c)
-                if eu[0] >= 0.0:
-                    raise DegenerateGeometry("upper vertex right of its lower root")
-                for v in cand_s0:
-                    need = max(need, -dot(eu, vsub(v, r1c)) / eu[0])
-            # static edges of sub vs moving opposite-side points of cand
-            for side, edges in ((1, _edge_points(sub, 1)), (0, _edge_points(sub, 0))):
-                opp = list(cand.pos0.values()) if side == 1 else list(cand.pos1.values())
-                for (pu, pv) in edges:
-                    e = vsub(pv, pu)
-                    a = e[0]
-                    L2 = dot(e, e)
-                    for w in opp:
-                        c = dot(vsub(w, pu), e)
-                        if a > 0:
-                            need = max(need, (L2 - c) / a)
-                        elif a < 0:
-                            need = max(need, -c / a)
-                        else:
-                            raise DegenerateGeometry("vertical edge during placement")
-            # moving edges of cand vs static opposite-side points of sub
-            for side, edges in cand_edges:
-                opp = list(sub.pos0.values()) if side == 1 else list(sub.pos1.values())
-                for (pu, pv) in edges:
-                    e = vsub(pv, pu)
-                    a = e[0]
-                    L2 = dot(e, e)
-                    for w in opp:
-                        c = dot(vsub(w, pu), e)
-                        if a > 0:
-                            need = max(need, c / a)
-                        elif a < 0:
-                            need = max(need, (c - L2) / a)
-                        else:
-                            raise DegenerateGeometry("vertical edge during placement")
-        slack = 0.1 * max(placed[-1].width(), cand.width(), 1e-6)
-        placed.append(_xform_sub(cand, 1.0, need + slack, 0.0))
-    return placed
+        v, w = st1.xy[st1.at[d]:st1.at[d + 1]], st1.xy[:st1.at[d]]
+        evx, evy = v[:, :1] - r0d.x, v[:, 1:] - r0d.y
+        terms = [((w[:, 0] - r0d.x) * evx + (w[:, 1] - r0d.y) * evy) / evx]
+        # mirrored at the earlier child's lower root:
+        #   (u - r1c) . (v + delta - r1c) < 0, coefficient (u - r1c).x < 0
+        v, u, r1c = st0.xy[st0.at[d]:st0.at[d + 1]], st0.xy[:st0.at[d]], lower[:st0.at[d]]
+        eux, euy = u[:, :1] - r1c[:, :1], u[:, 1:] - r1c[:, 1:]
+        terms.append(-(eux * (v[:, 0] - r1c[:, :1]) + euy * (v[:, 1] - r1c[:, 1:])) / eux)
+        # static edges vs the candidate's opposite-side points, and the
+        # candidate's moving edges vs static opposite-side points
+        for own, other, g in ((st0, st1, moving[0]), (st1, st0, moving[1])):
+            h = other.geom[:other.edge_at[d]]
+            if len(h):
+                c = _proj(h, own.xy[own.at[d]:own.at[d + 1]])
+                terms.append(np.where(h[:, 2:3] > 0, (h[:, 4:] - c) / h[:, 2:3], -c / h[:, 2:3]))
+            if len(g):
+                c = _proj(g, other.xy[:other.at[d]])
+                terms.append(np.where(g[:, 2:3] > 0, c / g[:, 2:3], (c - g[:, 4:]) / g[:, 2:3]))
+        need = max(_seq_max(t, 0.0) for t in terms)
+        slack = 0.1 * max(newest.width(), cand.width(), 1e-6)
+        t = need + slack
+        placed[d] = _xform_corners(cand, 1.0, t, 0.0)
+        for st in stacks:  # the rows as 1.0 * p + (t, 0.0)
+            st.xy[st.at[d]:st.at[d + 1], 0] += t
+            st.xy[st.at[d]:st.at[d + 1], 1] += 0.0
+            e = slice(st.edge_at[d], st.edge_at[d + 1])
+            if e.stop > e.start:
+                st.geom[e] = _edge_geom(st.xy[st.rows[e, 0]], st.xy[st.rows[e, 1]])
+        lower[st0.at[d]:st0.at[d + 1]] = placed[d].a1
+    return placed, stacks
 
 
-def _in_slab(w: Point, pu: Point, pv: Point, rel: float = _SLACK) -> bool:
-    e = vsub(pv, pu)
-    L2 = dot(e, e)
-    c = dot(vsub(w, pu), e)
-    return -rel * L2 <= c <= L2 * (1.0 + rel)
-
-
-def _roots_clear_of_slabs(placed: List[_Sub], p0: Point, p1: Point) -> bool:
-    edges1: List[Tuple[Point, Point]] = []
-    edges0: List[Tuple[Point, Point]] = []
-    for sub in placed:
-        edges1 += _edge_points(sub, 1)
-        edges0 += _edge_points(sub, 0)
-        edges1.append((p1, sub.pos1[sub.root1]))
-        edges0.append((p0, sub.pos0[sub.root0]))
-    for (pu, pv) in edges1:
-        if _in_slab(p0, pu, pv):
-            return False
-    for (pu, pv) in edges0:
-        if _in_slab(p1, pu, pv):
+def _roots_clear_of_slabs(edges: List[np.ndarray], p0: Point, p1: Point) -> bool:
+    """Whether each new root is outside the widened perpendicular slab of
+    every edge (``_edge_geom`` rows) of the other side."""
+    for g, w in ((edges[1], p0), (edges[0], p1)):
+        c = (w.x - g[:, 0]) * g[:, 2] + (w.y - g[:, 1]) * g[:, 3]
+        if ((-_SLACK * g[:, 4] <= c) & (c <= g[:, 4] * (1.0 + _SLACK))).any():
             return False
     return True
 
@@ -622,7 +648,8 @@ def _acute_with_vertical(v: Tuple[float, float]) -> float:
     return math.atan2(abs(v[0]), abs(v[1]))
 
 
-def _root_levels(placed: List[_Sub], w1_point: Optional[Point]) -> Tuple[float, float, Dict]:
+def _root_levels(placed: List[_Sub], stacks: Tuple[_Stack, _Stack],
+                 w1_point: Optional[Point]) -> Tuple[float, float, Dict]:
     """Root elevation above/below the strip.
 
     The level is assembled and gated once at this elevation.
@@ -637,66 +664,39 @@ def _root_levels(placed: List[_Sub], w1_point: Optional[Point]) -> Tuple[float, 
     """
     l0x = placed[0].a0.x
     l1x = placed[-1].a1.x
-    side0_pts: List[Point] = []
-    side1_pts: List[Point] = []
-    for sub in placed:
-        side0_pts += list(sub.pos0.values())
-        side1_pts += list(sub.pos1.values())
+    st0, st1 = stacks
 
     # slab exclusion for the edges from the upper root to the child roots
-    h_slab0 = 0.0
-    for sub in placed:
-        xj = sub.pos0[sub.root0].x
-        coef = l0x - xj
-        for w in side1_pts:
-            h_slab0 = max(h_slab0, (w.x - xj) * coef / (1.0 - w.y))
+    xj = st0.xy[st0.roots, :1]
+    h_slab0 = _seq_max((st1.xy[:, 0] - xj) * (l0x - xj) / (1.0 - st1.xy[:, 1]), 0.0)
     # mirrored for the lower root
-    h_slab1 = 0.0
-    for sub in placed:
-        xj = sub.pos1[sub.root1].x
-        coef = l1x - xj
-        for w in side0_pts:
-            h_slab1 = max(h_slab1, (w.x - xj) * coef / w.y)
+    xj = st1.xy[st1.roots, :1]
+    h_slab1 = _seq_max((st0.xy[:, 0] - xj) * (l1x - xj) / st0.xy[:, 1], 0.0)
 
     # witness depth for non-adjacent pairs of the upper root
     z2_0 = -math.inf
-    if w1_point is None:
-        for sub in placed:
-            if sub.b1_id is None:
-                continue
-            b = sub.b1
-            for vid, v in sub.pos0.items():
-                if vid == sub.root0:
-                    continue
-                bnum = v.y - b.y
-                if bnum >= 0.0:
-                    raise DegenerateGeometry("side-0 vertex at or above its b1 corner")
-                a = (v.x - b.x) * (l0x - b.x)
-                z2_0 = max(z2_0, b.y - a / bnum)
-    else:
-        for sub in placed:
-            for vid, v in sub.pos0.items():
-                if vid == sub.root0:
-                    continue
-                bnum = v.y - w1_point.y
-                if bnum >= 0.0:
-                    raise DegenerateGeometry("side-0 vertex at or above the shared witness")
-                a = (v.x - w1_point.x) * (l0x - w1_point.x)
-                z2_0 = max(z2_0, w1_point.y - a / bnum)
+    for j, sub in enumerate(placed):
+        if w1_point is None and sub.b1_id is None:
+            continue
+        b = sub.b1 if w1_point is None else w1_point
+        v = st0.xy[st0.at[j]:st0.at[j + 1]][st0.ids[st0.at[j]:st0.at[j + 1]] != sub.root0]
+        bnum = v[:, 1] - b.y
+        if (bnum >= 0.0).any():
+            raise DegenerateGeometry("side-0 vertex at or above its b1 corner" if w1_point is None
+                                     else "side-0 vertex at or above the shared witness")
+        z2_0 = _seq_max(b.y - (v[:, 0] - b.x) * (l0x - b.x) / bnum, z2_0)
 
     z2_1 = math.inf
-    for sub in placed:
+    for j, sub in enumerate(placed):
         if sub.b0_id is None:
             continue
         b = sub.b0
-        for vid, v in sub.pos1.items():
-            if vid == sub.root1:
-                continue
-            bnum = v.y - b.y
-            if bnum <= 0.0:
-                raise DegenerateGeometry("side-1 vertex at or below its b0 corner")
-            a = (v.x - b.x) * (l1x - b.x)
-            z2_1 = min(z2_1, b.y - a / bnum)
+        v = st1.xy[st1.at[j]:st1.at[j + 1]][st1.ids[st1.at[j]:st1.at[j + 1]] != sub.root1]
+        bnum = v[:, 1] - b.y
+        if (bnum <= 0.0).any():
+            raise DegenerateGeometry("side-1 vertex at or below its b0 corner")
+        # a sequential min, as the max of the negated values
+        z2_1 = -_seq_max(-(b.y - (v[:, 0] - b.x) * (l1x - b.x) / bnum), -z2_1)
 
     alpha0 = _acute_with_vertical(vsub(placed[0].b0, placed[0].a0))
     alpha1 = _acute_with_vertical(vsub(placed[-1].b1, placed[-1].a1))
@@ -718,33 +718,37 @@ def _root_levels(placed: List[_Sub], w1_point: Optional[Point]) -> Tuple[float, 
     return elev, span, info
 
 
-def _choose_rotation(placed: List[_Sub], p0: Point, p1: Point) -> Tuple[Point, Dict]:
+def _norms(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.array(list(map(math.hypot, x.tolist(), y.tolist())))
+
+
+def _choose_rotation(placed: List[_Sub], stacks: Tuple[_Stack, _Stack],
+                     edges: List[np.ndarray], p0: Point, p1: Point) -> Tuple[Point, Dict]:
     """Direction that becomes horizontal, satisfying all post-rotation checks."""
-    r00 = placed[0].pos0[placed[0].root0]
-    r1m = placed[-1].pos1[placed[-1].root1]
-    b00 = placed[0].b0
-    b1m = placed[-1].b1
+    st0, st1 = stacks
+    r00 = Point(*st0.xy[st0.roots[0]].tolist())
+    r1m = Point(*st1.xy[st1.roots[-1]].tolist())
     base = vsub(p1, r00)
-    gamma0 = angle_at(p1, r00, b00)
-    gamma1 = angle_at(p0, r1m, b1m)
-    gamma = min(gamma0, gamma1)
+    gamma = min(angle_at(p1, r00, placed[0].b0), angle_at(p0, r1m, placed[-1].b1))
     # Start close to the bound: the rotation angle controls the aspect ratio
     # of the rotated drawing (width/height ~ cot of this angle), and small
     # angles compound into exponential coordinate growth across levels.
     gp = 0.9 * gamma
 
-    edge_pts: List[Tuple[Point, Point]] = []
-    others: List[Point] = []
-    for sub in placed:
-        edge_pts += _edge_points(sub, 0) + _edge_points(sub, 1)
-        edge_pts.append((p0, sub.pos0[sub.root0]))
-        edge_pts.append((p1, sub.pos1[sub.root1]))
-        for vid, pt in sub.pos0.items():
-            others.append(pt)
-        for vid, pt in sub.pos1.items():
-            others.append(pt)
-    others = [pt for pt in others
-              if pt != r00 and pt != r1m]
+    # Every vertex but the two outer child roots (told apart by coordinates)
+    # must turn out above r00 and below r1m, and no edge, the new root edges
+    # included, may turn vertical.  The vectors and norms do not depend on
+    # the trial angle.
+    xy = np.concatenate([st0.xy, st1.xy])
+    x, y = xy[:, 0], xy[:, 1]
+    keep = ~((x == r00.x) & (y == r00.y) | (x == r1m.x) & (y == r1m.y))
+    x, y = x[keep], y[keep]
+    # vectors from r00 to each vertex and from each vertex to r1m
+    vx = np.concatenate([x - r00.x, r1m.x - x])
+    vy = np.concatenate([y - r00.y, r1m.y - y])
+    e = np.concatenate(edges)
+    ex, ey = e[:, 2], e[:, 3]
+    v_tol, e_tol = 1e-5 * _norms(vx, vy), 1e-7 * _norms(ex, ey)
 
     for _ in range(600):
         ca, sa = math.cos(gp), math.sin(gp)
@@ -755,23 +759,11 @@ def _choose_rotation(placed: List[_Sub], p0: Point, p1: Point) -> Tuple[Point, D
             # the enclosing level, so keep them well clear of roundoff
             return cross(f, vec) > 1e-5 * norm(vec)
 
-        ok = (above(vsub(r1m, r00)) and above(vsub(p0, r1m)) and above(vsub(r00, p1)))
-        if ok:
-            for pt in others:
-                if not (above(vsub(pt, r00)) and above(vsub(r1m, pt))):
-                    ok = False
-                    break
-        if ok:
-            for a, b in ((p0, r00), (r00, r1m), (r1m, p1)):
-                if dot(f, vsub(b, a)) <= 1e-9 * dist(a, b):
-                    ok = False
-                    break
-        if ok:
-            for (pu, pv) in edge_pts:
-                e = vsub(pv, pu)
-                if abs(dot(f, e)) <= 1e-7 * norm(e):
-                    ok = False
-                    break
+        ok = (above(vsub(r1m, r00)) and above(vsub(p0, r1m)) and above(vsub(r00, p1))
+              and (f.x * vy - f.y * vx > v_tol).all()
+              and all(dot(f, vsub(b, a)) > 1e-9 * dist(a, b)
+                      for a, b in ((p0, r00), (r00, r1m), (r1m, p1)))
+              and not (np.abs(f.x * ex + f.y * ey) <= e_tol).any())
         if ok:
             return f, {"gamma": gamma, "gamma_prime": gp}
         gp *= 0.9
@@ -780,53 +772,56 @@ def _choose_rotation(placed: List[_Sub], p0: Point, p1: Point) -> Tuple[Point, D
 
 def _assemble_level(subs: List[_Sub], root0: int, root1: int, *, w1_mode: bool = False,
                     trace_log: Optional[List[Dict]] = None) -> _Sub:
-    placed = _place_children(subs)
-    w1_point: Optional[Point] = None
-    if w1_mode:
-        last = placed[-1]
-        if last.b1_id is None:
-            raise DegenerateGeometry("rightmost child has no inner corner vertex")
-        w1_point = last.b1
-    elev, span, info = _root_levels(placed, w1_point)
+    placed, stacks = _place_children(subs)
+    if w1_mode and placed[-1].b1_id is None:
+        raise DegenerateGeometry("rightmost child has no inner corner vertex")
+    elev, span, info = _root_levels(placed, stacks, placed[-1].b1 if w1_mode else None)
 
     l0x, l1x = info["L0x"], info["L1x"]
-    doublings = 0
-    while True:
+    for _ in range(201):  # the elevation and up to 200 doublings
         p0 = Point(l0x, 1.0 + elev)
         p1 = Point(l1x, -elev)
-        if _roots_clear_of_slabs(placed, p0, p1):
+        # each side's edges: the children's, then the new root's
+        edges = [np.concatenate([st.geom, _edge_geom(p, st.xy[st.roots])])
+                 for st, p in zip(stacks, (p0, p1))]
+        if _roots_clear_of_slabs(edges, p0, p1):
             break
         elev *= 2.0
-        doublings += 1
-        if doublings > 200:
-            raise DegenerateGeometry("root elevation search did not converge")
+    else:
+        raise DegenerateGeometry("root elevation search did not converge")
 
-    f, rot_info = _choose_rotation(placed, p0, p1)
+    f, rot_info = _choose_rotation(placed, stacks, edges, p0, p1)
     theta = -math.atan2(f.y, f.x)
 
-    pos0: Dict[int, Point] = {root0: p0}
-    pos1: Dict[int, Point] = {root1: p1}
-    edges0: List[Tuple[int, int]] = []
-    edges1: List[Tuple[int, int]] = []
-    for sub in placed:
-        pos0.update(sub.pos0)
-        pos1.update(sub.pos1)
-        edges0 += list(sub.edges0) + [(root0, sub.root0)]
-        edges1 += list(sub.edges1) + [(root1, sub.root1)]
+    # merge the new roots and the children, rows in vertex-id order
+    merged = []
+    for st, root, p, kids in ((stacks[0], root0, p0, [s.root0 for s in placed]),
+                              (stacks[1], root1, p1, [s.root1 for s in placed])):
+        ids = np.concatenate([[root], st.ids])
+        order = np.argsort(ids)
+        merged.append(_Side(ids[order], np.concatenate([[p], st.xy])[order],
+                            np.concatenate([st.ids[st.rows], [(root, k) for k in kids]])))
 
-    ids0 = sorted(pos0)
-    ids1 = sorted(pos1)
-    all_pts = [pos0[i] for i in ids0] + [pos1[i] for i in ids1]
-    cxs = sum(p.x for p in all_pts) / len(all_pts)
-    cys = sum(p.y for p in all_pts) / len(all_pts)
-    rotated = rotate_about(all_pts, (cxs, cys), theta)
-    pos0 = {v: rotated[i] for i, v in enumerate(ids0)}
-    pos1 = {v: rotated[len(ids0) + i] for i, v in enumerate(ids1)}
+    # rotate about the centroid of all points, summed in order as floats
+    xy = np.concatenate([merged[0].xy, merged[1].xy])
+    cx = sum(xy[:, 0].tolist()) / len(xy)
+    cy = sum(xy[:, 1].tolist()) / len(xy)
+    c, s = math.cos(theta), math.sin(theta)
+
+    def rotated(x, y):
+        dx, dy = x - cx, y - cy
+        return cx + c * dx - s * dy, cy + s * dx + c * dy
+
+    xy = np.column_stack(rotated(xy[:, 0], xy[:, 1]))
+    n0 = len(merged[0].ids)
+    side0, side1 = merged[0]._replace(xy=xy[:n0]), merged[1]._replace(xy=xy[n0:])
 
     b0_id = placed[0].root0
     b1_id = placed[-1].root1
-    a0p, b0p = pos0[root0], pos0[b0_id]
-    a1p, b1p = pos1[root1], pos1[b1_id]
+    # the same float operations on the corner points as on their rows
+    a0p, a1p = Point(*rotated(*p0)), Point(*rotated(*p1))
+    b0p = Point(*rotated(*stacks[0].xy[stacks[0].roots[0]].tolist()))
+    b1p = Point(*rotated(*stacks[1].xy[stacks[1].roots[-1]].tolist()))
     if not (a0p.y > b1p.y > b0p.y > a1p.y and
             a0p.x < b0p.x < b1p.x < a1p.x):
         raise DegenerateGeometry("rotated corners lost the required ordering")
@@ -839,13 +834,15 @@ def _assemble_level(subs: List[_Sub], root0: int, root1: int, *, w1_mode: bool =
             "offsets": [s.a0.x for s in placed],
         })
 
-    return _Sub(pos0, pos1, tuple(edges0), tuple(edges1),
-                a0p, b0p, a1p, b1p, b0_id, b1_id, root0, root1)
+    return _Sub((side0, side1), a0p, b0p, a1p, b1p, b0_id, b1_id, root0, root1)
 
 
 def _canon_sub(v0: int, v1: int) -> _Sub:
     a0, b0, a1, b1 = _CANON
-    return _Sub({v0: a0}, {v1: a1}, (), (), a0, b0, a1, b1, None, None, v0, v1)
+    no_edges = np.empty((0, 2), dtype=int)
+    return _Sub((_Side(np.array([v0]), np.array([a0]), no_edges),
+                 _Side(np.array([v1]), np.array([a1]), no_edges)),
+                a0, b0, a1, b1, None, None, v0, v1)
 
 
 def _build_tree_sub(rt: RootedTree, v: int, side1: Callable[[int], int],
@@ -859,7 +856,8 @@ def _build_tree_sub(rt: RootedTree, v: int, side1: Callable[[int], int],
     return sub
 
 
-def _dynamic_range(points: Sequence[Point]) -> float:
+def _dynamic_range(sub: _Sub) -> float:
+    points = sub.sides[0].xy.tolist() + sub.sides[1].xy.tolist()
     ext = _extent(points)
     min_d = _min_pair_distance(points)
     if min_d == 0.0:
@@ -876,18 +874,15 @@ def draw_tree_pair(rt0: RootedTree, rt1: RootedTree) -> ParallelogramDrawing:
     mapping = rooted_isomorphism(rt0, rt1)
     levels: List[Dict] = []
     sub = _build_tree_sub(rt0, rt0.root, lambda u: mapping[u], levels)
-    n = rt0.tree.n
-    pts0 = tuple(sub.pos0[i] for i in range(n))
-    pts1 = tuple(sub.pos1[i] for i in range(n))
-    if _dynamic_range(pts0 + pts1) > _DYNAMIC_RANGE_LIMIT:
+    if _dynamic_range(sub) > _DYNAMIC_RANGE_LIMIT:
         raise DegenerateGeometry("coordinate dynamic range exceeds 1e12")
     ann = ParallelogramAnnotation(
         sub.a0, sub.b0, sub.a1, sub.b1,
         a0_id=rt0.root, b0_id=sub.b0_id, a1_id=rt1.root, b1_id=sub.b1_id)
     edges1 = tuple((mapping[a], mapping[b]) for a, b in rt0.tree.edges)
     trace = ConstructionTrace({"kind": "tree", "levels": levels})
-    return DrawingPair(pts0, pts1, rt0.tree.edges, edges1,
-                       parallelogram=ann, trace=trace)
+    return DrawingPair(sub.sides[0].xy.tolist(), sub.sides[1].xy.tolist(),
+                       rt0.tree.edges, edges1, parallelogram=ann, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -903,19 +898,16 @@ def _lower_sub(sub: _Sub, t: float) -> _Sub:
     u1 = unit(vsub(sub.a1, sub.b1))
     na0 = Point(sub.a0.x + t * u0.x, sub.a0.y + t * u0.y)
     na1 = Point(sub.a1.x + t * u1.x, sub.a1.y + t * u1.y)
-    pos0 = dict(sub.pos0)
-    pos1 = dict(sub.pos1)
-    pos0[sub.root0] = na0
-    pos1[sub.root1] = na1
-    return replace(sub, pos0=pos0, pos1=pos1, a0=na0, a1=na1)
+    sides = (sub.sides[0].moved(sub.root0, na0), sub.sides[1].moved(sub.root1, na1))
+    return replace(sub, sides=sides, a0=na0, a1=na1)
 
 
 def _sub_from_drawing(d: DrawingPair) -> _Sub:
     ann = d.parallelogram
-    pos0 = {i: p for i, p in enumerate(d.points0)}
-    pos1 = {i: p for i, p in enumerate(d.points1)}
-    return _Sub(pos0, pos1, d.edges0, d.edges1,
-                ann.a0, ann.b0, ann.a1, ann.b1,
+    sides = tuple(_Side(np.arange(len(pts)), np.array(pts, dtype=float),
+                        np.array(edges, dtype=int).reshape(-1, 2))
+                  for pts, edges in ((d.points0, d.edges0), (d.points1, d.edges1)))
+    return _Sub(sides, ann.a0, ann.b0, ann.a1, ann.b1,
                 ann.b0_id, ann.b1_id, ann.a0_id, ann.a1_id)
 
 
@@ -933,6 +925,8 @@ def lower_strip_ratio(pd: ParallelogramDrawing, eps: float) -> ParallelogramDraw
     sigma = strip_ratio(pd)
     if sigma < eps:
         return pd
+    if pd.parallelogram.a0_id is None or pd.parallelogram.a1_id is None:
+        raise MissingAnnotation("parallelogram names no root vertex at a0 or a1")
     sub = _sub_from_drawing(pd)
     band = sub.b1.y - sub.b0.y
     height = sub.a0.y - sub.a1.y
@@ -946,10 +940,9 @@ def lower_strip_ratio(pd: ParallelogramDrawing, eps: float) -> ParallelogramDraw
     if not _sub_ratio(cand) < eps:
         raise DegenerateGeometry(f"lowered strip ratio {_sub_ratio(cand)!r} is not below {eps!r}")
     _gate_sub(cand, sub.root0)
-    pts0 = tuple(cand.pos0[i] for i in range(len(pd.points0)))
-    pts1 = tuple(cand.pos1[i] for i in range(len(pd.points1)))
     new_ann = replace(pd.parallelogram, a0=cand.a0, a1=cand.a1)
-    return replace(pd, points0=pts0, points1=pts1, parallelogram=new_ann)
+    return replace(pd, points0=cand.sides[0].xy.tolist(), points1=cand.sides[1].xy.tolist(),
+                   parallelogram=new_ann)
 
 
 # ---------------------------------------------------------------------------
@@ -959,8 +952,8 @@ def lower_strip_ratio(pd: ParallelogramDrawing, eps: float) -> ParallelogramDraw
 def _side0_band_top(sub: _Sub) -> float:
     """Largest normalized height of a side-0 non-root vertex."""
     h = sub.height()
-    tops = [(p.y - sub.a1.y) / h for vid, p in sub.pos0.items() if vid != sub.root0]
-    return max(tops, default=-math.inf)
+    side = sub.sides[0]
+    return _seq_max((side.xy[side.ids != sub.root0, 1] - sub.a1.y) / h, -math.inf)
 
 
 def _prep_strip_ratios(subs: List[_Sub]) -> List[_Sub]:
@@ -994,9 +987,11 @@ def _prep_strip_ratios(subs: List[_Sub]) -> List[_Sub]:
 
 
 def _delete_side1(sub: _Sub, gone: Set[int]) -> _Sub:
-    pos1 = {v: p for v, p in sub.pos1.items() if v not in gone}
-    edges1 = tuple((a, b) for a, b in sub.edges1 if a not in gone and b not in gone)
-    return replace(sub, pos1=pos1, edges1=edges1)
+    side = sub.sides[1]
+    keep = np.array([v not in gone for v in side.ids.tolist()], dtype=bool)
+    kept = np.array([a not in gone and b not in gone for a, b in side.edges.tolist()], dtype=bool)
+    return replace(sub, sides=(sub.sides[0], _Side(side.ids[keep], side.xy[keep],
+                                                   side.edges[kept])))
 
 
 def _build_pruned_sub(rt: RootedTree, v: int, members: frozenset,
@@ -1039,13 +1034,9 @@ def draw_pruned_tree_pair(rt: RootedTree, leaf_set) -> DrawingPair:
     levels: List[Dict] = []
     sub = _build_pruned_sub(rt_ord, rt_ord.root, members, levels)
 
-    n = rt.tree.n
-    pts0 = tuple(sub.pos0[i] for i in range(n))
-    survivors = sorted(sub.pos1)
-    relabel = {v: i for i, v in enumerate(survivors)}
-    pts1 = tuple(sub.pos1[v] for v in survivors)
-    edges1 = tuple((relabel[a], relabel[b]) for a, b in sub.edges1)
-    if _dynamic_range(pts0 + pts1) > _DYNAMIC_RANGE_LIMIT:
+    side0, side1 = sub.sides
+    relabel = {v: i for i, v in enumerate(side1.ids.tolist())}
+    if _dynamic_range(sub) > _DYNAMIC_RANGE_LIMIT:
         raise DegenerateGeometry("coordinate dynamic range exceeds 1e12")
     ann = ParallelogramAnnotation(
         sub.a0, sub.b0, sub.a1, sub.b1,
@@ -1057,5 +1048,5 @@ def draw_pruned_tree_pair(rt: RootedTree, leaf_set) -> DrawingPair:
         "removed": sorted(members),
         "side1_relabel": {str(k): v for k, v in relabel.items()},
     })
-    return DrawingPair(pts0, pts1, rt.tree.edges, edges1,
-                       parallelogram=ann, trace=trace)
+    return DrawingPair(side0.xy.tolist(), side1.xy.tolist(), rt.tree.edges,
+                       side1.rows(side1.edges).tolist(), parallelogram=ann, trace=trace)

@@ -82,6 +82,10 @@ class DrawingPair:
         object.__setattr__(self, "points1", pts1)
         object.__setattr__(self, "edges0", _normalize_edges(self.edges0, len(pts0), "side-0"))
         object.__setattr__(self, "edges1", _normalize_edges(self.edges1, len(pts1), "side-1"))
+        for name, pts in (("a0_id", pts0), ("b0_id", pts0), ("a1_id", pts1), ("b1_id", pts1)):
+            i = getattr(self.parallelogram, name, None)
+            if i is not None and not (type(i) is int and 0 <= i < len(pts)):
+                raise DegenerateInput(f"parallelogram {name} {i!r} is not a vertex of its side")
 
     def side(self, i: int) -> Tuple[Point, ...]:
         return self.points0 if i == 0 else self.points1

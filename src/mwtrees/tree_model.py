@@ -420,6 +420,8 @@ def gen_random_tree(n: int, seed: int, max_depth: Optional[int] = None) -> Tree:
     """Uniform random parent attachment, deterministic for a fixed seed."""
     if n < 1:
         raise InvalidSpec("n must be positive")
+    if max_depth is not None and max_depth < 1 and n >= 2:
+        raise InvalidSpec(f"max_depth must be at least 1 for n >= 2, got {max_depth}")
     rng = random.Random(seed)
     depth = {0: 0}
     edges = []

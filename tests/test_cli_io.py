@@ -88,6 +88,37 @@ class TestDrawingDocuments:
             drawing_from_json(data)
         assert "edges0[0]" in str(err.value)
 
+    @staticmethod
+    def tree_drawing_json():
+        rt = RootedTree.from_tree(Tree(3, ((0, 1), (0, 2))), 0)
+        return drawing_to_json(DrawingDocument(draw_tree_pair(rt, rt)))
+
+    @pytest.mark.parametrize("bad", [999, -1, "x", True, 0.0])
+    def test_corner_id_outside_its_side(self, bad):
+        data = self.tree_drawing_json()
+        data["annotations"]["parallelogram"]["ids"]["a0"] = bad
+        with pytest.raises(ParseError, match="a0_id"):
+            drawing_from_json(data)
+
+    def test_corner_ids_not_an_object(self):
+        data = self.tree_drawing_json()
+        data["annotations"]["parallelogram"]["ids"] = [0, 1, 0, 1]
+        with pytest.raises(ParseError, match="ids"):
+            drawing_from_json(data)
+
+    def test_nan_corner(self):
+        data = self.tree_drawing_json()
+        data["annotations"]["parallelogram"]["b1"] = [float("nan"), 1.0]
+        with pytest.raises(ParseError, match="non-finite"):
+            drawing_from_json(data)
+
+    def test_zero_separating_direction(self):
+        data = self.tree_drawing_json()
+        data.setdefault("annotations", {})["separating_line"] = {
+            "px": 0.0, "py": 0.5, "dx": 0.0, "dy": 0.0}
+        with pytest.raises(ParseError, match="zero vector"):
+            drawing_from_json(data)
+
 
 class TestSvg:
     def test_deterministic(self):
@@ -168,6 +199,29 @@ class TestCli:
 
     def test_usage_error(self):
         assert cli_main(["draw"]) == 2
+
+    @pytest.mark.parametrize("cmd", [["verify", "--beta", "1"], ["svg", "--parallelogram"]])
+    def test_corner_id_outside_its_side_is_a_parse_error(self, tmp_path, capsys, cmd):
+        data = TestDrawingDocuments.tree_drawing_json()
+        data["annotations"]["parallelogram"]["ids"]["b1"] = 999
+        drawing = tmp_path / "drawing.json"
+        drawing.write_text(json.dumps(data))
+        out_args = ["-o", str(tmp_path / "x.svg")] if cmd[0] == "svg" else []
+        assert cli_main([cmd[0], "-i", str(drawing)] + out_args + cmd[1:]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError") and "b1_id 999" in err
+
+    @pytest.mark.parametrize("gen, message", [
+        (["--kind", "random", "--n", "5", "--max-depth", "0"], "max_depth"),
+        (["--kind", "caterpillar", "--n", "0"], "n must be positive"),
+        (["--kind", "caterpillar", "--n", "-3"], "n must be positive"),
+    ])
+    def test_gen_rejects_impossible_sizes(self, tmp_path, capsys, gen, message):
+        out = tmp_path / "tree.json"
+        assert cli_main(["gen"] + gen + ["-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidSpec") and message in err
+        assert not out.exists()
 
     def test_tree_mode_round_trip(self, tmp_path):
         tree = tmp_path / "tree.json"

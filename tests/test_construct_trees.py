@@ -1,9 +1,11 @@
+import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
-from mwtrees.construct import draw_tree_pair, lower_strip_ratio
-from mwtrees.errors import InvalidEps, NotIsomorphic
+from mwtrees.construct import draw_pruned_tree_pair, draw_tree_pair, lower_strip_ratio
+from mwtrees.errors import DegenerateGeometry, InvalidEps, MissingAnnotation, NotIsomorphic
 from mwtrees.geometry import BETA_INF, Point
 from mwtrees.proximity import (
     check_parallelogram_drawing,
@@ -14,6 +16,7 @@ from mwtrees.proximity import (
 from mwtrees.tree_model import (
     RootedTree,
     Tree,
+    gen_corollary_family,
     gen_random_tree,
     isomorphism_map,
 )
@@ -132,8 +135,78 @@ class TestStripRatio:
             order_a = sorted(range(len(after)), key=lambda i: after[i].x)
             assert order_b == order_a
 
+    @pytest.mark.parametrize("field", ["a0_id", "a1_id"])
+    def test_missing_root_id(self, field):
+        d = replace(self.d, parallelogram=replace(self.d.parallelogram, **{field: None}))
+        with pytest.raises(MissingAnnotation, match="a0 or a1"):
+            lower_strip_ratio(d, 0.01)
+
     def test_bad_eps(self):
         with pytest.raises(InvalidEps):
             lower_strip_ratio(self.d, 0.0)
         with pytest.raises(InvalidEps):
             lower_strip_ratio(self.d, -1.0)
+
+
+def _golden_drawings():
+    d3 = draw_tree_pair(*[RootedTree.from_tree(gen_random_tree(14, 21, max_depth=3), 0)] * 2)
+    d5 = draw_tree_pair(*[RootedTree.from_tree(gen_random_tree(28, 314, max_depth=5), 0)] * 2)
+    return {"depth3": d3, "depth5": d5,
+            "pruned-m2": draw_pruned_tree_pair(*gen_corollary_family(2)),
+            "depth3-ratio0.01": lower_strip_ratio(d3, 0.01)}
+
+
+# Reference values computed with the per-point (dict of Point) construction:
+# name -> (sha256 of the float.hex points, edges and trace, float.hex
+# annotation corners, corner ids).
+TREE_GOLDEN = {
+    "depth3": (
+        "7fc10f0990c54bf8aaa0d93cd19576a999f4b9172c40bce23488bc94e845b170",
+        ["-0x1.da52b56c3da39p+0", "0x1.d79b60b9c816fp+1", "-0x1.94167419c1892p-4",
+         "0x1.91f909f76f282p-2", "0x1.0be120dfe69b8p+2", "-0x1.5794324f1d803p+1",
+         "0x1.37399aaa7c719p+1", "0x1.372034aef2c74p-1"], (0, 1, 0, 1)),
+    "depth5": (
+        "6f6a70864ad71f659459750d19716c6d667aedf80fdf3af7fa77e969a23dbcaf",
+        ["-0x1.5b80436f49519p+8", "0x1.31013179887fbp+7", "0x1.5f596378625a0p+1",
+         "-0x1.0f3f263ccfa46p+2", "0x1.676941191bb1cp+8", "-0x1.2a2928a761bddp+7",
+         "0x1.25495c5c336dep+3", "0x1.ea404081a7e12p+2"], (0, 1, 0, 20)),
+    "pruned-m2": (
+        "e59ba9d0c41d12ad284cc292862a60a5b961605bcccc98b033f4b4edb473fdfa",
+        ["-0x1.c53eb67d83be1p+11", "0x1.e8db4ebd701fep+10", "0x1.51f56aad7984fp-2",
+         "-0x1.1b4b4351aa379p-1", "0x1.c59c9cc49003cp+11", "-0x1.e89b17f62ebdep+10",
+         "0x1.4d5a6edb67bc5p+1", "0x1.8e80beae5cdcep+0"], (0, 1, 0, 6)),
+    "depth3-ratio0.01": (
+        "6b5185eaea63a32d2f45d535db938615a7a25c8515757c7ea71f77a6e93d240f",
+        ["-0x1.73cf249be1788p+3", "0x1.602ff7f6c3a96p+4", "-0x1.94167419c1892p-4",
+         "0x1.91f909f76f282p-2", "0x1.be755e5e4d11cp+3", "-0x1.502f12296e568p+4",
+         "0x1.37399aaa7c719p+1", "0x1.372034aef2c74p-1"], (0, 1, 0, 1)),
+}
+
+
+class TestGolden:
+    """Bit-exact tree, pruned and lowered-ratio drawings, and failure messages."""
+
+    def test_drawings_bit_exact(self):
+        for name, d in _golden_drawings().items():
+            text = repr(([(p.x.hex(), p.y.hex()) for p in d.points0],
+                         [(p.x.hex(), p.y.hex()) for p in d.points1],
+                         d.edges0, d.edges1, d.trace.data))
+            a = d.parallelogram
+            got = (hashlib.sha256(text.encode()).hexdigest(),
+                   [c.hex() for p in (a.a0, a.b0, a.a1, a.b1) for c in p],
+                   (a.a0_id, a.b0_id, a.a1_id, a.b1_id))
+            assert got == TREE_GOLDEN[name], name
+            assert all(type(i) is int for i in got[2]), name
+
+    def test_pruned_m11_gate_message(self):
+        with pytest.raises(DegenerateGeometry) as err:
+            draw_pruned_tree_pair(*gen_corollary_family(11))
+        assert str(err.value) == (
+            "subtree at 0 fails strict verification at beta=1.0: 3 violation(s), "
+            "first MissingWitness on side 0 pair (0, 3) margin 3.166e-04")
+
+    def test_path_height_16_dynamic_range_message(self):
+        path = rooted([(i, i + 1) for i in range(16)], 17)
+        with pytest.raises(DegenerateGeometry) as err:
+            draw_tree_pair(path, path)
+        assert str(err.value) == "coordinate dynamic range exceeds 1e12"

@@ -295,3 +295,16 @@ class TestDrawingPairValidation:
     def test_rejects_out_of_range(self):
         with pytest.raises(DegenerateInput):
             DrawingPair(PATH0, PATH1, ((0, 7),), ())
+
+    @pytest.mark.parametrize("field", ["a0_id", "b0_id", "a1_id", "b1_id"])
+    @pytest.mark.parametrize("bad", [3, -1, 999, "x", True, 1.0])
+    def test_rejects_corner_ids_outside_their_side(self, field, bad):
+        ann = ParallelogramAnnotation(Point(0, 3), Point(1, 1), Point(3, 0), Point(2, 2),
+                                      **{field: bad})
+        with pytest.raises(DegenerateInput, match=field):
+            DrawingPair(PATH0, PATH1, parallelogram=ann)
+
+    def test_accepts_corner_ids_in_range_or_none(self):
+        ann = ParallelogramAnnotation(Point(0, 3), Point(1, 1), Point(3, 0), Point(2, 2),
+                                      a0_id=0, b0_id=2, a1_id=None, b1_id=2)
+        assert DrawingPair(PATH0, PATH1, parallelogram=ann).parallelogram is ann

@@ -224,6 +224,12 @@ class TestGenerators:
         rt = RootedTree.from_tree(t, 0)
         assert rt.height() <= 3
 
+    @pytest.mark.parametrize("max_depth", [0, -2])
+    def test_random_tree_depth_cap_below_one(self, max_depth):
+        with pytest.raises(InvalidSpec, match="max_depth"):
+            gen_random_tree(5, 3, max_depth=max_depth)
+        assert gen_random_tree(1, 3, max_depth=max_depth).n == 1
+
     def test_caterpillar_generator(self):
         t = gen_random_caterpillar(3, [2, 0, 1], 4)
         assert t.n == 6
