@@ -236,10 +236,13 @@ def compute_safe_perturbation(d: DrawingPair, block0: Set[int], block1: Set[int]
     new closed-mode violation appears, and every previously strict verdict
     keeps a margin above tolerance.  Verdicts are those of each pair's
     deepest witness, with tolerance ``TOL`` times that witness's scale.
+    Block ids must be vertices of their side.
     """
     u = unit(direction)
-    b0 = set(int(i) for i in block0)
-    b1 = set(int(i) for i in block1)
+    b0, b1 = (set(int(i) for i in b) for b in (block0, block1))
+    bad = [(s, i) for s, b in ((0, b0), (1, b1)) for i in sorted(b) if not 0 <= i < len(d.side(s))]
+    if bad:
+        raise DegenerateInput(f"block ids outside their side, as (side, id): {bad}")
     all_pts = list(d.points0) + list(d.points1)
     scale = _extent(all_pts)
     min_d = _min_pair_distance(all_pts)

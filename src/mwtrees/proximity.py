@@ -1,9 +1,8 @@
-"""Brute-force mutual witness graph extraction and drawing verification.
+"""Exact mutual witness graph extraction and drawing verification.
 
-The extractor is the ground truth: for every vertex pair of one side it
-scans all vertices of the other side and keeps the edge exactly when no
-witness lies in the pair's beta region.  The verifier diffs a claimed
-drawing against that rule; both read their verdicts from ``side_verdicts``.
+The extractor is the ground truth: a pair of one side is an edge exactly when
+no vertex of the other side lies in its beta region.  The verifier diffs a
+claimed drawing against that rule; both read verdicts from ``side_verdicts``.
 """
 from __future__ import annotations
 
@@ -17,6 +16,8 @@ from .errors import DegenerateInput, MissingAnnotation
 from .geometry import TOL, BETA_INF, Line, Point
 
 DEFAULT_BETAS: Tuple[float, ...] = (1.0, 1.5, 2.0, 5.0, 10.0, BETA_INF)
+_CHUNK = 1 << 20  # cells in one chunk of a (pairs x witnesses) table
+_SETTLE_CELLS = 1 << 12  # up to here, one full table costs less than the candidates
 
 
 @dataclass(frozen=True)
@@ -134,24 +135,23 @@ class ParallelogramDrawingCheck:
 # vectorized margins
 # ---------------------------------------------------------------------------
 
-def _dist_table(W: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """``|W[k] - C[m]|`` as an ``(m, k)`` table, bit-identical to ``np.linalg.norm``."""
+def _sq_table(W: np.ndarray, C: np.ndarray) -> np.ndarray:
     dx = W[..., 0] - C[:, 0, None]
     dy = W[..., 1] - C[:, 1, None]
     dx *= dx
     dx += np.multiply(dy, dy, out=dy)
+    return dx
+
+
+def _dist_table(W: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """``|W[k] - C[m]|`` as an ``(m, k)`` table, bit-identical to ``np.linalg.norm``."""
+    dx = _sq_table(W, C)
     return np.sqrt(dx, out=dx)
 
 
-def pair_witness_margins(P: np.ndarray, Q: np.ndarray, W: np.ndarray,
-                         beta: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Margins and scales of every witness against every (p, q) pair.
-
-    ``P``/``Q`` are ``(m, 2)`` pair endpoints, ``W`` is ``(k, 2)``.  Returns
-    ``(margin, scale)`` of shape ``(m, k)``; positive margin means the
-    witness is inside the open region by that Euclidean depth.  Every
-    temporary is an ``(m, k)`` table.
-    """
+def _margins(P: np.ndarray, Q: np.ndarray, W: np.ndarray,
+             beta: float) -> Tuple[np.ndarray, np.ndarray]:
+    """``pair_witness_margins``, also for one witness per pair: ``W`` of shape ``(m, 1, 2)``."""
     if not beta >= 1.0:
         raise DegenerateInput(f"beta must lie in [1, inf], got {beta!r}")
     d = _dist_table(Q[:, None], P)  # (m, 1): |Q[m] - P[m]|
@@ -161,16 +161,27 @@ def pair_witness_margins(P: np.ndarray, Q: np.ndarray, W: np.ndarray,
     if beta == BETA_INF:
         u = (Q - P) / d
         # ``+ 0.0`` as in a zero-started sum: an exact-zero projection is 0.0, not -0.0
-        proj = (W[:, 0] - P[:, 0, None]) * u[:, 0, None] + 0.0
-        proj += (W[:, 1] - P[:, 1, None]) * u[:, 1, None]
+        proj = (W[..., 0] - P[:, 0, None]) * u[:, 0, None] + 0.0
+        proj += (W[..., 1] - P[:, 1, None]) * u[:, 1, None]
         return np.minimum(proj, d - proj), scale
     half = beta / 2.0
-    c1 = (1.0 - half) * P + half * Q
-    c2 = half * P + (1.0 - half) * Q
     r = half * d
-    m1 = r - _dist_table(W, c1)
-    m2 = r - _dist_table(W, c2)
+    m1 = r - _dist_table(W, (1.0 - half) * P + half * Q)
+    if half == 0.5:  # beta 1: the second disk is the first, bit for bit
+        return m1, scale
+    m2 = r - _dist_table(W, half * P + (1.0 - half) * Q)
     return np.minimum(m1, m2, out=m1), scale
+
+
+def pair_witness_margins(P: np.ndarray, Q: np.ndarray, W: np.ndarray,
+                         beta: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Margins and scales of every witness against every (p, q) pair.
+
+    ``P``/``Q`` are ``(m, 2)`` pair endpoints, ``W`` is ``(k, 2)``.  Returns ``(margin,
+    scale)`` of shape ``(m, k)``; positive margin means the witness is inside the
+    open region by that Euclidean depth.  Every temporary is an ``(m, k)`` table.
+    """
+    return _margins(P, Q, W, beta)
 
 
 @dataclass(frozen=True)
@@ -180,7 +191,11 @@ class SideVerdicts:
     ``closed_hit`` / ``open_hit`` say whether some witness lies within
     tolerance of the closed region / deeper than tolerance inside the open
     one; ``witness`` is the deepest witness, with its ``depth`` (margin)
-    and local ``scale``.
+    and local ``scale``.  On tables above ``_SETTLE_CELLS`` cells, a non-edge
+    is *settled* when its candidate, the opposite point nearest its midpoint,
+    has margin above ``max(TOL, margin) * S``, ``S = 2 * max(bbox width, bbox
+    height)`` of both sides.  No scale exceeds ``S``, so both its hits are
+    true; its ``witness``/``depth``/``scale`` describe the candidate.
     """
 
     iu: np.ndarray
@@ -193,27 +208,49 @@ class SideVerdicts:
     scale: np.ndarray
 
 
+def _full_rows(P: np.ndarray, Q: np.ndarray, W: np.ndarray, beta: float, tol: float):
+    """Closed and open hits, deepest witness, its margin and its scale per pair."""
+    marg, scale = pair_witness_margins(P, Q, W, beta)
+    t = tol * scale
+    best = np.argmax(marg, axis=1)[:, None]
+    return ((marg >= -t).any(axis=1), (marg > t).any(axis=1), best[:, 0],
+            np.take_along_axis(marg, best, 1)[:, 0], np.take_along_axis(scale, best, 1)[:, 0])
+
+
 def side_verdicts(own: Sequence[Point], other: Sequence[Point], beta: float,
                   edges: Sequence[Tuple[int, int]] = (), margin: float = TOL
                   ) -> SideVerdicts:
     """Verdicts of every pair of ``own`` against the witnesses ``other``.
 
-    One margin table is computed; the tolerance is ``max(TOL, margin)``
-    times each witness's local scale.
+    The tolerance is ``max(TOL, margin)`` times each witness's local scale.  Pairs
+    not settled get full margin rows, in tables of ``_CHUNK`` cells (or one row).
     """
     n = len(own)
     iu, jv = np.triu_indices(n, k=1)
-    A = np.asarray(own, dtype=float)
-    marg, scale = pair_witness_margins(A[iu], A[jv], np.asarray(other, dtype=float), beta)
-    tol = max(TOL, margin) * scale
+    A, B = (np.asarray(pts, dtype=float) for pts in (own, other))
+    P, Q = A[iu], A[jv]
     e = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
     adj = np.zeros((n, n), dtype=bool)
     adj[e[:, 0], e[:, 1]] = adj[e[:, 1], e[:, 0]] = True
-    best = np.argmax(marg, axis=1)[:, None]
-    return SideVerdicts(
-        iu, jv, adj[iu, jv], (marg >= -tol).any(axis=1), (marg > tol).any(axis=1),
-        best[:, 0], np.take_along_axis(marg, best, 1)[:, 0],
-        np.take_along_axis(scale, best, 1)[:, 0])
+    is_edge = adj[iu, jv]
+    tol = max(TOL, margin)
+    if len(iu) * len(B) <= _SETTLE_CELLS:
+        return SideVerdicts(iu, jv, is_edge, *_full_rows(P, Q, B, beta, tol))
+    step = max(1, _CHUNK // len(B))
+    witness = np.zeros(len(iu), dtype=np.intp)
+    for i in range(0, len(iu), step):
+        witness[i:i + step] = _sq_table(B, 0.5 * (P[i:i + step] + Q[i:i + step])).argmin(axis=1)
+    depth, scale = (t[:, 0] for t in _margins(P, Q, B[witness][:, None], beta))
+    S = 2.0 * float(np.ptp(np.concatenate((A, B)), axis=0).max())
+    # while S * S is normal and finite, no computed scale exceeds S
+    open_hit = ~is_edge & (depth > (tol * S if 2.0 ** -1022 <= S * S < math.inf else math.inf))
+    closed_hit = open_hit.copy()
+    rest = np.flatnonzero(~open_hit)
+    for i in range(0, len(rest), step):
+        rows = rest[i:i + step]
+        (closed_hit[rows], open_hit[rows], witness[rows], depth[rows],
+         scale[rows]) = _full_rows(P[rows], Q[rows], B, beta, tol)
+    return SideVerdicts(iu, jv, is_edge, closed_hit, open_hit, witness, depth, scale)
 
 
 def _check_distinct(points: Sequence[Point], side: str):

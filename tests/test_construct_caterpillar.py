@@ -4,8 +4,8 @@ import random
 import pytest
 
 import mwtrees.construct as construct
-from mwtrees.construct import compute_safe_perturbation, draw_caterpillar_pair
-from mwtrees.errors import NoSafeEps
+from mwtrees.construct import compute_safe_perturbation, draw_caterpillar_pair, draw_star_pair
+from mwtrees.errors import DegenerateInput, NoSafeEps
 from mwtrees.geometry import TOL, Point
 from mwtrees.proximity import DrawingPair, extract_mw_graphs, verify
 from mwtrees.tree_model import caterpillar_decompose, gen_random_caterpillar
@@ -198,6 +198,12 @@ class TestSafePerturbation:
         assert verify(d, 1.0, "closed").ok
         eps = compute_safe_perturbation(d, {2}, {2}, (-1.0, 0.0))
         assert eps > 0
+
+    @pytest.mark.parametrize("block0, block1", [({99}, {0}), ({0}, {-1}), ({1, 4}, {1, 2})])
+    def test_block_ids_outside_their_side_rejected(self, block0, block1):
+        d = draw_star_pair(2).drawing  # four vertices a side
+        with pytest.raises(DegenerateInput, match="block ids"):
+            compute_safe_perturbation(d, block0, block1)
 
     def test_adversarially_blocked_edge(self):
         # the witness sits deep inside the target edge's disk; no small move

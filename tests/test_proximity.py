@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import mwtrees.proximity as proximity
 from mwtrees.errors import DegenerateInput, MissingAnnotation
 from mwtrees.geometry import BETA_INF, TOL, Point, region_margin, rotate_about
 from mwtrees.proximity import (
@@ -11,6 +13,7 @@ from mwtrees.proximity import (
     check_parallelogram_drawing,
     extract_mw_graphs,
     pair_witness_margins,
+    side_verdicts,
     strip_ratio,
     verify,
     verify_universal,
@@ -241,6 +244,183 @@ class TestMarginKernel:
                 assert np.array_equal(g.view(np.int64), w.view(np.int64)), trial
             zeros += int((want[0] == 0.0).sum())
         assert zeros > 0
+
+
+def reference_report(d, beta, mode, margin=TOL):
+    """``verify`` as first written, in the form of ``bits``: every pair judged
+    by a full row of ``reference_margins``, in the same order."""
+    t = max(TOL, margin)
+    violations, borderline = [], []
+    for side in (0, 1):
+        for pair, row, srow in reference_rows(d.side(side), d.side(1 - side), beta):
+            k = int(np.argmax(row))
+            closed_hit, open_hit = (row >= -t * srow).any(), (row > t * srow).any()
+            if abs(row[k]) <= t * srow[k]:
+                borderline.append((side, pair, row[k].hex()))
+            if pair in d.edges(side):
+                if open_hit if mode == "open" else closed_hit:
+                    violations.append((side, pair, "ForbiddenWitness", k, row[k].hex()))
+            elif not (closed_hit if mode == "closed" else open_hit):
+                violations.append((side, pair, "MissingWitness", None, row[k].hex()))
+    return mode, beta, violations, borderline
+
+
+def reference_rows(own, other, beta):
+    n = len(own)
+    iu, jv = np.triu_indices(n, k=1)
+    A = np.asarray(own, dtype=float)
+    marg, scale = reference_margins(A[iu], A[jv], np.asarray(other, dtype=float), beta)
+    return [((i, j), marg[r], scale[r]) for r, (i, j) in enumerate(zip(iu.tolist(), jv.tolist()))]
+
+
+def reference_graphs(a, b, beta, closed):
+    out = []
+    for own, other in ((a, b), (b, a)):
+        out.append(tuple(pair for pair, row, srow in reference_rows(own, other, beta)
+                         if not ((row >= -TOL * srow) if closed else (row > TOL * srow)).any()))
+    return tuple(out)
+
+
+def bits(report):
+    """A report as plain tuples, every float by its bits."""
+    return (report.mode, report.beta,
+            [(v.side, v.pair, v.kind, v.witness, v.margin.hex()) for v in report.violations],
+            [(side, pair, m.hex()) for side, pair, m in report.borderline])
+
+
+def corrupted_drawings(rng):
+    """Drawings whose claimed graphs are the closed beta graphs at beta=1 with
+    one edge dropped and one non-edge added per side: random sides of ~24
+    points (settled pairs) and of ~7 points, and sides on an integer grid,
+    where witnesses sit exactly on region boundaries."""
+    cells = [Point(x, y) for x in range(7) for y in range(7)]
+    grid = rng.sample(cells, 46)
+    for a, b in ((random_points(rng, 26), random_points(rng, 22)),
+                 (random_points(rng, 7), random_points(rng, 6)),
+                 (grid[:24], grid[24:])):
+        claim = []
+        for pts, edges in zip((a, b), reference_graphs(a, b, 1.0, True)):
+            edges = set(edges)
+            non_edges = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
+                         if (i, j) not in edges]
+            edges.remove(rng.choice(sorted(edges)))
+            edges.add(rng.choice(non_edges))
+            claim.append(tuple(sorted(edges)))
+        yield DrawingPair(a, b, claim[0], claim[1])
+
+
+@pytest.fixture(params=["default", "settle-all", "settle-all-row-chunks"])
+def settling(request, monkeypatch):
+    """Run a test as configured, with every table settled by candidates, and
+    with that plus one-row chunks."""
+    if request.param != "default":
+        monkeypatch.setattr(proximity, "_SETTLE_CELLS", 0)
+    if request.param == "settle-all-row-chunks":
+        monkeypatch.setattr(proximity, "_CHUNK", 5)
+    return request.param
+
+
+class TestSettledVerdicts:
+    """The candidate stage of ``side_verdicts`` against full tables."""
+
+    @pytest.mark.parametrize("margin", [TOL, 1e-3])
+    @pytest.mark.parametrize("beta", [1.0, 1.7, 10.0, BETA_INF])
+    def test_reports_bit_identical_to_full_table(self, rng, settling, beta, margin):
+        for d in corrupted_drawings(rng):
+            for mode in ("open", "closed", "strict"):
+                assert bits(verify(d, beta, mode, margin)) == \
+                    reference_report(d, beta, mode, margin), (mode, len(d.points0))
+            for closed in (True, False):
+                assert extract_mw_graphs(d.points0, d.points1, beta, closed) == \
+                    reference_graphs(d.points0, d.points1, beta, closed)
+
+    @pytest.mark.parametrize("beta", [1.0, 1.7, BETA_INF])
+    def test_settled_pairs_follow_their_definition(self, rng, settling, beta):
+        """On tables above ``_SETTLE_CELLS`` cells, a non-edge whose candidate
+        (the opposite point nearest its midpoint) has margin above ``TOL * S``
+        reports that candidate; every other pair reports its full row's
+        deepest witness.  The hits are the full rows' either way."""
+        settled = 0
+        for d in corrupted_drawings(rng):
+            for side in (0, 1):
+                own, other = d.side(side), d.side(1 - side)
+                v = side_verdicts(own, other, beta, d.edges(side))
+                B = np.asarray(other)
+                ext = np.asarray(list(own) + list(other))
+                S = 2.0 * float((ext.max(axis=0) - ext.min(axis=0)).max())
+                rows = reference_rows(own, other, beta)
+                big = len(rows) * len(other) > proximity._SETTLE_CELLS
+                for r, (pair, row, srow) in enumerate(rows):
+                    assert v.closed_hit[r] == (row >= -TOL * srow).any()
+                    assert v.open_hit[r] == (row > TOL * srow).any()
+                    mid = (np.asarray(own[pair[0]]) + np.asarray(own[pair[1]])) / 2
+                    k = int(np.argmin(((B - mid) ** 2).sum(axis=1)))
+                    if not (big and pair not in d.edges(side) and row[k] > TOL * S):
+                        k = int(np.argmax(row))
+                    else:
+                        settled += 1
+                    assert (v.witness[r], v.depth[r].hex(), v.scale[r].hex()) == \
+                        (k, row[k].hex(), srow[k].hex())
+        assert settled > 0
+
+    @pytest.mark.parametrize("beta", [2.0, BETA_INF])
+    def test_nearest_witness_outside_another_inside(self, settling, beta):
+        # (1.1, 0) is nearest the midpoint of (0, 0)-(1, 0) but lies outside
+        # the region; (0.5, 0.8) lies inside it
+        d = DrawingPair([(0, 0), (1, 0)], [(1.1, 0), (0.5, 0.8)])
+        rep = verify(d, beta, "strict")
+        assert rep.ok
+        assert bits(rep) == reference_report(d, beta, "strict")
+        v = side_verdicts(d.points0, d.points1, beta)
+        assert v.open_hit[0] and v.witness[0] == 1
+
+    @pytest.mark.parametrize("points1", [[(0.5, 1e10), (0.49, 0.3)],
+                                         [(0.5 - 6e8, 0.5 + 6e8), (0.4, 0.55)]])
+    def test_far_deep_borderline_witness_kept(self, settling, points1):
+        """At beta=inf the far witness is the deepest and borderline at its
+        scale; the candidate near the midpoint is clear of tolerance at its
+        own scale, and at the larger bbox side, but not at ``S``.  So the
+        pair is not settled and keeps its borderline entry."""
+        points0 = [(0, 0), (1, 0)] if points1[0][1] == 1e10 else [(0, 0), (1, 1)]
+        d = DrawingPair(points0, points1)
+        rep = verify(d, BETA_INF, "strict")
+        assert [b[:2] for b in rep.borderline if b[0] == 0] == [(0, (0, 1))]
+        assert bits(rep) == reference_report(d, BETA_INF, "strict")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_scale_not_settled(self, settling):
+        # |p - q| squared overflows: the pair's margin and scale are inf, and
+        # inf is not above tolerance inf, so the pair has no open witness
+        d = DrawingPair([(0, 0), (2e154, 0)], [(1e154, 1.0)])
+        rep = verify(d, 1.0, "strict")
+        assert [(v.pair, v.kind) for v in rep.violations] == [((0, 1), "MissingWitness")]
+        assert bits(rep) == reference_report(d, 1.0, "strict")
+
+    def test_single_vertex_side_checks_beta(self, settling):
+        d = DrawingPair((Point(0, 0),), PATH1)
+        with pytest.raises(DegenerateInput):
+            verify(d, 0.5, "strict")
+        with pytest.raises(DegenerateInput):
+            extract_mw_graphs(d.points0, d.points1, 0.5, True)
+        with pytest.raises(DegenerateInput):
+            side_verdicts(d.points0, d.points1, 0.5)
+
+    def test_coincident_points_rejected(self, settling):
+        d = DrawingPair(PATH0 + (PATH0[1],), PATH1)
+        with pytest.raises(DegenerateInput, match="coincident"):
+            verify(d, 1.0, "strict")
+
+    def test_verify_memory_bounded(self):
+        """500 random points a side verify within 64 MiB of traced memory."""
+        gen = np.random.default_rng(500)
+        d = DrawingPair(gen.uniform(0, 1, (500, 2)).tolist(), gen.uniform(0, 1, (500, 2)).tolist())
+        tracemalloc.start()
+        try:
+            verify(d, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
 
 CANON = ParallelogramAnnotation(Point(0, 3), Point(1, 1), Point(3, 0), Point(2, 2),
