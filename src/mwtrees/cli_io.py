@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import construct
 from .errors import InvalidSpec, MWTreesError, ParseError
-from .geometry import BETA_INF, Line, Point
+from .geometry import BETA_INF, Line, Point, _extent, beta_disks, unit, vsub
 from .proximity import (
     ConstructionTrace,
     DrawingPair,
@@ -31,6 +32,7 @@ from .tree_model import (
     gen_corollary_family,
     gen_random_caterpillar,
     gen_random_tree,
+    isomorphism_map,
 )
 
 TREE_FORMAT = "tree/1"
@@ -145,14 +147,10 @@ def drawing_to_json(doc: DrawingDocument) -> dict:
             "dx": _fmt_float(line.direction.x), "dy": _fmt_float(line.direction.y),
         }
     if d.parallelogram is not None:
-        p = d.parallelogram
-        ann["parallelogram"] = {
-            "a0": [_fmt_float(p.a0.x), _fmt_float(p.a0.y)],
-            "b0": [_fmt_float(p.b0.x), _fmt_float(p.b0.y)],
-            "a1": [_fmt_float(p.a1.x), _fmt_float(p.a1.y)],
-            "b1": [_fmt_float(p.b1.x), _fmt_float(p.b1.y)],
-            "ids": {"a0": p.a0_id, "b0": p.b0_id, "a1": p.a1_id, "b1": p.b1_id},
-        }
+        p, corners = d.parallelogram, ("a0", "b0", "a1", "b1")
+        ann["parallelogram"] = {k: [_fmt_float(getattr(p, k).x), _fmt_float(getattr(p, k).y)]
+                                for k in corners}
+        ann["parallelogram"]["ids"] = {k: getattr(p, k + "_id") for k in corners}
     if d.trace is not None:
         ann["trace"] = d.trace.data
     if ann:
@@ -234,34 +232,34 @@ def drawing_from_json(data: dict) -> DrawingDocument:
     return DrawingDocument(d)
 
 
-def save_tree(doc: TreeDocument, path: str):
+def _write_json(data: dict, path: str):
     with open(path, "w") as fh:
-        json.dump(tree_to_json(doc), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _read_json(path: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+
+
+def save_tree(doc: TreeDocument, path: str):
+    _write_json(tree_to_json(doc), path)
 
 
 def load_tree(path: str) -> TreeDocument:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    return tree_from_json(data)
+    return tree_from_json(_read_json(path))
 
 
 def save_drawing(doc: DrawingDocument, path: str):
-    with open(path, "w") as fh:
-        json.dump(drawing_to_json(doc), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(drawing_to_json(doc), path)
 
 
 def load_drawing(path: str) -> DrawingDocument:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    return drawing_from_json(data)
+    return drawing_from_json(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +287,7 @@ def render_svg(d: DrawingPair, *, regions_beta: Optional[float] = None,
         pts += [p.a0, p.b0, p.a1, p.b1]
     xs = [p.x for p in pts]
     ys = [p.y for p in pts]
-    span = max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
+    span = _extent(pts, 1.0)
     pad = 0.08 * span
     x0, y0 = min(xs) - pad, min(ys) - pad
     x1, y1 = max(xs) + pad, max(ys) + pad
@@ -317,8 +315,7 @@ def render_svg(d: DrawingPair, *, regions_beta: Optional[float] = None,
             for u, v in d.edges(side):
                 p, q = own[u], own[v]
                 if regions_beta == BETA_INF:
-                    from .geometry import unit as _unit, vsub as _vsub
-                    uv = _unit(_vsub(q, p))
+                    uv = unit(vsub(q, p))
                     nx, ny = -uv.y, uv.x
                     ll = 2.0 * span
                     for a in (p, q):
@@ -328,7 +325,6 @@ def render_svg(d: DrawingPair, *, regions_beta: Optional[float] = None,
                             f'stroke="{color}" stroke-width="{_g(stroke)}" '
                             f'stroke-dasharray="{_g(4 * stroke)}" opacity="0.4" />')
                 else:
-                    from .geometry import beta_disks
                     c1, c2, rad = beta_disks(p, q, regions_beta)
                     centers = [c1] if c1 == c2 else [c1, c2]
                     for c in centers:
@@ -431,8 +427,7 @@ def _cmd_gen(args) -> int:
     elif args.kind == "caterpillar":
         if args.n < 1:
             raise InvalidSpec("n must be positive")
-        import random as _random
-        rng = _random.Random(args.seed)
+        rng = random.Random(args.seed)
         spine = max(1, min(args.n, 1 + rng.randrange(max(1, args.n // 3))))
         remaining = args.n - spine
         counts = [0] * spine
@@ -468,7 +463,6 @@ def _cmd_draw(args) -> int:
         if args.input2:
             doc2 = load_tree(args.input2)
             if doc2.root is None:
-                from .tree_model import isomorphism_map
                 r1, _ = isomorphism_map(doc.tree, doc2.tree, rt0.root)
                 rt1 = RootedTree.from_tree(doc2.tree, r1)
             else:
@@ -482,8 +476,7 @@ def _cmd_draw(args) -> int:
         rt = doc.rooted()
         drawing = construct.draw_pruned_tree_pair(rt, SparseLeafSet(frozenset(doc.sparse_leaves)))
     if not args.trace and drawing.trace is not None:
-        from dataclasses import replace as _replace
-        drawing = _replace(drawing, trace=None)
+        drawing = replace(drawing, trace=None)
     save_drawing(DrawingDocument(drawing), args.output)
     return 0
 
@@ -522,9 +515,7 @@ def _cmd_extract(args) -> int:
         "edges0": [[u, v] for u, v in e0],
         "edges1": [[u, v] for u, v in e1],
     }
-    with open(args.output, "w") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out, args.output)
     return 0
 
 
@@ -545,18 +536,10 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    commands = {"gen": _cmd_gen, "draw": _cmd_draw, "verify": _cmd_verify,
+                "extract": _cmd_extract, "svg": _cmd_svg}
     try:
-        if args.cmd == "gen":
-            return _cmd_gen(args)
-        if args.cmd == "draw":
-            return _cmd_draw(args)
-        if args.cmd == "verify":
-            return _cmd_verify(args)
-        if args.cmd == "extract":
-            return _cmd_extract(args)
-        if args.cmd == "svg":
-            return _cmd_svg(args)
-        return 2
+        return commands[args.cmd](args)
     except MWTreesError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -45,6 +45,7 @@ from .geometry import (
     Point,
     Segment,
     WingedParallelogram,
+    _extent,
     angle_at,
     build_winged_parallelogram,
     cross,
@@ -196,12 +197,6 @@ def _min_pair_distance(points: Sequence[Point]) -> float:
     return min([math.inf] + list(map(math.hypot, dx[near].tolist(), dy[near].tolist())))
 
 
-def _extent(points: Sequence[Sequence[float]]) -> float:
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    return max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
-
-
 def _translate_subset(d: DrawingPair, block0: Set[int], block1: Set[int],
                       offset: Tuple[float, float]) -> DrawingPair:
     ox, oy = offset
@@ -244,7 +239,7 @@ def compute_safe_perturbation(d: DrawingPair, block0: Set[int], block1: Set[int]
     if bad:
         raise DegenerateInput(f"block ids outside their side, as (side, id): {bad}")
     all_pts = list(d.points0) + list(d.points1)
-    scale = _extent(all_pts)
+    scale = _extent(all_pts, 1.0)
     min_d = _min_pair_distance(all_pts)
     if min_d == 0.0:
         raise DegenerateInput("drawing has coincident points")
@@ -848,24 +843,37 @@ def _canon_sub(v0: int, v1: int) -> _Sub:
                 a0, b0, a1, b1, None, None, v0, v1)
 
 
+def _build_levels(rt: RootedTree, v: int, split: Callable[[int], bool],
+                  whole: Callable[[int], _Sub], level: Callable[[int, List[_Sub]], _Sub]) -> _Sub:
+    """Draw the subtree at ``v`` in left-to-right post-order, on explicit
+    stacks: a vertex that ``split`` accepts is the gated ``level`` of its
+    children's drawings, any other vertex is drawn by ``whole``."""
+    order, stack = [], [v]
+    while stack:  # right-to-left pre-order, the reverse of the post-order
+        u = stack.pop()
+        order.append((u, split(u)))
+        if order[-1][1]:
+            stack.extend(rt.children[u])
+    built: Dict[int, _Sub] = {}
+    for u, parts in reversed(order):
+        built[u] = level(u, [built.pop(c) for c in rt.children[u]]) if parts else whole(u)
+        if parts:
+            _gate_sub(built[u], u)
+    return built[v]
+
+
 def _build_tree_sub(rt: RootedTree, v: int, side1: Callable[[int], int],
                     trace_log: Optional[List[Dict]] = None) -> _Sub:
-    kids = rt.children[v]
-    if not kids:
-        return _canon_sub(v, side1(v))
-    subs = [_build_tree_sub(rt, c, side1, trace_log) for c in kids]
-    sub = _assemble_level(subs, v, side1(v), trace_log=trace_log)
-    _gate_sub(sub, v)
-    return sub
+    return _build_levels(
+        rt, v, lambda u: bool(rt.children[u]), lambda u: _canon_sub(u, side1(u)),
+        lambda u, subs: _assemble_level(subs, u, side1(u), trace_log=trace_log))
 
 
-def _dynamic_range(sub: _Sub) -> float:
+def _check_dynamic_range(sub: _Sub) -> None:
     points = sub.sides[0].xy.tolist() + sub.sides[1].xy.tolist()
-    ext = _extent(points)
     min_d = _min_pair_distance(points)
-    if min_d == 0.0:
-        return math.inf
-    return ext / min_d
+    if min_d == 0.0 or _extent(points, 1.0) / min_d > _DYNAMIC_RANGE_LIMIT:
+        raise DegenerateGeometry("coordinate dynamic range exceeds 1e12")
 
 
 def draw_tree_pair(rt0: RootedTree, rt1: RootedTree) -> ParallelogramDrawing:
@@ -877,8 +885,7 @@ def draw_tree_pair(rt0: RootedTree, rt1: RootedTree) -> ParallelogramDrawing:
     mapping = rooted_isomorphism(rt0, rt1)
     levels: List[Dict] = []
     sub = _build_tree_sub(rt0, rt0.root, lambda u: mapping[u], levels)
-    if _dynamic_range(sub) > _DYNAMIC_RANGE_LIMIT:
-        raise DegenerateGeometry("coordinate dynamic range exceeds 1e12")
+    _check_dynamic_range(sub)
     ann = ParallelogramAnnotation(
         sub.a0, sub.b0, sub.a1, sub.b1,
         a0_id=rt0.root, b0_id=sub.b0_id, a1_id=rt1.root, b1_id=sub.b1_id)
@@ -999,25 +1006,18 @@ def _delete_side1(sub: _Sub, gone: Set[int]) -> _Sub:
 
 def _build_pruned_sub(rt: RootedTree, v: int, members: frozenset,
                       trace_log: Optional[List[Dict]] = None) -> _Sub:
-    in_subtree = set(rt.subtree_vertices(v))
-    if not (members & in_subtree):
-        return _build_tree_sub(rt, v, lambda u: u, trace_log)
-    kids = rt.children[v]
-    subs: List[_Sub] = []
-    gone: Set[int] = set()
-    for c in kids:
-        ty = subtree_type(rt, c, members)
-        if ty == "D":
-            subs.append(_build_pruned_sub(rt, c, members, trace_log))
-        else:
-            subs.append(_build_tree_sub(rt, c, lambda u: u, trace_log))
-            if ty == "B":
-                gone.update(x for x in rt.children[c] if x in members)
-    subs = _prep_strip_ratios(subs)
-    sub = _assemble_level(subs, v, v, w1_mode=True, trace_log=trace_log)
-    pruned = _delete_side1(sub, gone)
-    _gate_sub(pruned, v)
-    return pruned
+    def split(u: int) -> bool:  # holds set leaves, and is the root or of type D
+        return (not members.isdisjoint(rt.subtree_vertices(u))
+                and (u == v or subtree_type(rt, u, members) == "D"))
+
+    def level(u: int, subs: List[_Sub]) -> _Sub:
+        gone = {x for c in rt.children[u] if subtree_type(rt, c, members) == "B"
+                for x in rt.children[c] if x in members}
+        sub = _assemble_level(_prep_strip_ratios(subs), u, u, w1_mode=True, trace_log=trace_log)
+        return _delete_side1(sub, gone)
+
+    return _build_levels(rt, v, split, lambda u: _build_tree_sub(rt, u, lambda x: x, trace_log),
+                         level)
 
 
 def draw_pruned_tree_pair(rt: RootedTree, leaf_set) -> DrawingPair:
@@ -1039,8 +1039,7 @@ def draw_pruned_tree_pair(rt: RootedTree, leaf_set) -> DrawingPair:
 
     side0, side1 = sub.sides
     relabel = {v: i for i, v in enumerate(side1.ids.tolist())}
-    if _dynamic_range(sub) > _DYNAMIC_RANGE_LIMIT:
-        raise DegenerateGeometry("coordinate dynamic range exceeds 1e12")
+    _check_dynamic_range(sub)
     ann = ParallelogramAnnotation(
         sub.a0, sub.b0, sub.a1, sub.b1,
         a0_id=rt.root, b0_id=sub.b0_id,

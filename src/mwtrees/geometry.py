@@ -1,10 +1,11 @@
 """Planar primitives and beta-region predicates.
 
-Everything downstream (the drawing constructions and the brute-force
-verifier) is built on the operations in this module.  All comparisons share
-a single relative tolerance ``TOL``: "strictly inside" means the signed
-margin exceeds ``TOL * scale`` for a locally derived scale, and closed
-membership gets the same slack in the other direction.
+The drawing constructions are built on the operations in this module; the
+verifier in ``proximity`` runs the same beta-region formula on numpy tables,
+and ``region_margin``/``region_scale`` compute its floats for one triple.
+All comparisons share a single relative tolerance ``TOL``: "strictly inside"
+means the signed margin exceeds ``TOL * scale`` for a locally derived scale,
+and closed membership gets the same slack in the other direction.
 """
 from __future__ import annotations
 
@@ -90,6 +91,13 @@ def rotate_about(points: Sequence[Sequence[float]], center: Sequence[float],
     return out
 
 
+def _extent(points: Sequence[Sequence[float]], floor: float) -> float:
+    """Larger side of the bounding box of ``points``, and at least ``floor``."""
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    return max(max(xs) - min(xs), max(ys) - min(ys), floor)
+
+
 def angle_at(u: Sequence[float], apex: Sequence[float], v: Sequence[float]) -> float:
     """Angle ``(u, apex, v)`` in radians, in ``[0, pi]``."""
     a = vsub(u, apex)
@@ -151,24 +159,44 @@ def region_margin(p: Sequence[float], q: Sequence[float], beta: float,
     """Signed depth of ``w`` inside the (open) region of ``p, q``.
 
     Positive values mean strictly inside, negative strictly outside, and the
-    magnitude approximates the Euclidean distance to the boundary.
+    magnitude approximates the Euclidean distance to the boundary.  It is the
+    float ``proximity.pair_witness_margins`` gives: the same operations in the
+    same order, so points closer than about 1e-154 are coincident in both.
     """
-    d = dist(p, q)
+    px, py, qx, qy = float(p[0]), float(p[1]), float(q[0]), float(q[1])
+    wx, wy = float(w[0]), float(w[1])
+    dx, dy = qx - px, qy - py
+    d = math.sqrt(dx * dx + dy * dy)
     if d == 0.0:
         raise DegenerateInput("beta region undefined for coincident points")
     if not beta >= 1.0:
         raise DegenerateInput(f"beta must lie in [1, inf], got {beta!r}")
-    if beta == BETA_INF:
-        u = ((q[0] - p[0]) / d, (q[1] - p[1]) / d)
-        proj = dot(vsub(w, p), u)
-        return min(proj, d - proj)
-    c1, c2, r = beta_disks(p, q, beta)
-    return min(r - dist(w, c1), r - dist(w, c2))
+    if beta == BETA_INF:  # a projection started at ``+ 0.0``, as the kernel's sum
+        m1 = (wx - px) * (dx / d) + 0.0 + (wy - py) * (dy / d)
+        m2 = d - m1
+    else:
+        if not (isinstance(beta, (int, float)) and math.isfinite(beta)):
+            raise DegenerateInput(f"beta must be a finite real >= 1, got {beta!r}")
+        half = beta / 2.0
+        r = half * d
+        ex, ey = wx - ((1.0 - half) * px + half * qx), wy - ((1.0 - half) * py + half * qy)
+        m1 = r - math.sqrt(ex * ex + ey * ey)
+        if half == 0.5:  # beta 1: one disk
+            return m1
+        ex, ey = wx - (half * px + (1.0 - half) * qx), wy - (half * py + (1.0 - half) * qy)
+        m2 = r - math.sqrt(ex * ex + ey * ey)
+    return m1 if m1 < m2 or m1 != m1 else m2  # np.minimum: NaN, else the second on ties
 
 
 def region_scale(p: Sequence[float], q: Sequence[float], w: Sequence[float]) -> float:
-    """Local scale used to turn ``TOL`` into an absolute slack."""
-    return max(dist(p, q), dist(w, p), dist(w, q))
+    """Local scale used to turn ``TOL`` into an absolute slack: the largest
+    of the three distances, as ``proximity.pair_witness_margins`` computes it."""
+    px, py, qx, qy = float(p[0]), float(p[1]), float(q[0]), float(q[1])
+    wx, wy = float(w[0]), float(w[1])
+    dx, dy, ex, ey, fx, fy = qx - px, qy - py, wx - px, wy - py, wx - qx, wy - qy
+    # no length is NaN or -0.0, so ``max`` picks np.maximum's float
+    return max(math.sqrt(dx * dx + dy * dy), math.sqrt(ex * ex + ey * ey),
+               math.sqrt(fx * fx + fy * fy))
 
 
 def region_contains(r: BetaRegion, w: Sequence[float]) -> bool:
@@ -342,17 +370,15 @@ def _convex_hull(points: Sequence[Point]) -> list[Point]:
     pts = sorted(set((p[0], p[1]) for p in points))
     if len(pts) <= 2:
         return [Point(*p) for p in pts]
-    lower: list = []
-    for p in pts:
-        while len(lower) >= 2 and cross(vsub(lower[-1], lower[-2]), vsub(p, lower[-2])) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(vsub(upper[-1], upper[-2]), vsub(p, upper[-2])) <= 0:
-            upper.pop()
-        upper.append(p)
-    return [Point(*p) for p in lower[:-1] + upper[:-1]]
+    hull: list = []
+    for seq in (pts, pts[::-1]):  # the lower chain, then the upper one
+        chain: list = []
+        for p in seq:
+            while len(chain) >= 2 and cross(vsub(chain[-1], chain[-2]), vsub(p, chain[-2])) <= 0:
+                chain.pop()
+            chain.append(p)
+        hull += chain[:-1]
+    return [Point(*p) for p in hull]
 
 
 def linearly_separable(pts0: Sequence[Point], pts1: Sequence[Point]) -> Optional[Line]:

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateInput, MissingAnnotation
-from .geometry import TOL, BETA_INF, Line, Point
+from .geometry import TOL, BETA_INF, Line, Point, _extent
 
 DEFAULT_BETAS: Tuple[float, ...] = (1.0, 1.5, 2.0, 5.0, 10.0, BETA_INF)
 _CHUNK = 1 << 20  # cells in one chunk of a (pairs x witnesses) table
@@ -329,18 +329,12 @@ def verify_universal(d: DrawingPair, betas: Optional[Sequence[float]] = None
 # parallelogram drawing checks
 # ---------------------------------------------------------------------------
 
-def _extent(points: Sequence[Point]) -> float:
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    return max(max(xs) - min(xs), max(ys) - min(ys), 1e-300)
-
-
 def check_parallelogram_drawing(d: DrawingPair) -> ParallelogramDrawingCheck:
     """Shape conditions for a drawing annotated with parallelogram corners."""
     ann = d.parallelogram
     if ann is None:
         raise MissingAnnotation("drawing carries no parallelogram corners")
-    s = _extent(list(d.points0) + list(d.points1) + [ann.a0, ann.b0, ann.a1, ann.b1])
+    s = _extent(list(d.points0) + list(d.points1) + [ann.a0, ann.b0, ann.a1, ann.b1], 1e-300)
     tol = TOL * s
 
     nicely = (ann.a0.y > ann.b1.y + tol and ann.b1.y > ann.b0.y + tol
@@ -394,7 +388,7 @@ def strip_ratio(d: DrawingPair) -> float:
     if ann is None:
         raise MissingAnnotation("drawing carries no parallelogram corners")
     denom = abs(ann.a0.y - ann.a1.y)
-    s = _extent([ann.a0, ann.b0, ann.a1, ann.b1])
+    s = _extent([ann.a0, ann.b0, ann.a1, ann.b1], 1e-300)
     if denom <= TOL * s:
         raise DegenerateInput("outer corners share a height")
     return abs(ann.b1.y - ann.b0.y) / denom

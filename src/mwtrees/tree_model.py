@@ -94,7 +94,6 @@ class RootedTree:
             raise DegenerateInput(f"root {root} out of range")
         parent: List[Optional[int]] = [None] * tree.n
         children: List[List[int]] = [[] for _ in range(tree.n)]
-        order = [root]
         stack = [root]
         visited = {root}
         while stack:
@@ -105,7 +104,6 @@ class RootedTree:
                     parent[w] = u
                     children[u].append(w)
                     stack.append(w)
-                    order.append(w)
         if children_order is not None:
             for v, kids in children_order.items():
                 if sorted(kids) != sorted(children[v]):
@@ -135,11 +133,12 @@ class RootedTree:
         return out
 
     def height(self, v: Optional[int] = None) -> int:
-        v = self.root if v is None else v
-        kids = self.children[v]
-        if not kids:
-            return 0
-        return 1 + max(self.height(c) for c in kids)
+        level = [self.root if v is None else v]
+        h = -1
+        while level:
+            h += 1
+            level = [c for u in level for c in self.children[u]]
+        return h
 
     def is_leaf(self, v: int) -> bool:
         return not self.children[v]
@@ -189,27 +188,36 @@ class SparseLeafSet:
 # rooted isomorphism via canonical codes
 # ---------------------------------------------------------------------------
 
-def _ahu_code(rt: RootedTree, v: int, memo: Dict[int, tuple]) -> tuple:
-    if v in memo:
-        return memo[v]
-    code = tuple(sorted(_ahu_code(rt, c, memo) for c in rt.children[v]))
-    memo[v] = code
-    return code
+def _ahu_codes(rt: RootedTree, table: Optional[Dict[tuple, int]] = None) -> list:
+    """Code of every vertex's subtree, by vertex id: the sorted codes of its
+    children or, given a ``table``, that tuple's number in it.  Trees sharing
+    a table get equal numbers exactly for isomorphic subtrees, and numbers
+    compare in one step however deep the trees are."""
+    codes: list = [None] * rt.tree.n
+    for u in reversed(rt.subtree_vertices(rt.root)):  # children first
+        kids = tuple(sorted(codes[c] for c in rt.children[u]))
+        codes[u] = kids if table is None else table.setdefault(kids, len(table))
+    return codes
 
 
 def rooted_code(rt: RootedTree) -> tuple:
     """Canonical code of a rooted tree; equal codes mean isomorphic."""
-    return _ahu_code(rt, rt.root, {})
+    return _ahu_codes(rt)[rt.root]
 
 
-def _match_rooted(rt0: RootedTree, v0: int, rt1: RootedTree, v1: int,
-                  memo0: Dict[int, tuple], memo1: Dict[int, tuple],
-                  mapping: Dict[int, int]):
-    mapping[v0] = v1
-    kids0 = sorted(rt0.children[v0], key=lambda c: (memo0[c], rt0.children[v0].index(c)))
-    kids1 = sorted(rt1.children[v1], key=lambda c: (memo1[c], rt1.children[v1].index(c)))
-    for c0, c1 in zip(kids0, kids1):
-        _match_rooted(rt0, c0, rt1, c1, memo0, memo1, mapping)
+def _match_rooted(rt0: RootedTree, cls0: List[int], rt1: RootedTree,
+                  cls1: List[int]) -> Dict[int, int]:
+    """Map the vertices of ``rt0`` to those of ``rt1``, pairing the children
+    of each class in their order (pre-order)."""
+    mapping: Dict[int, int] = {}
+    stack = [(rt0.root, rt1.root)]
+    while stack:
+        u0, u1 = stack.pop()
+        mapping[u0] = u1
+        kids0 = sorted(rt0.children[u0], key=cls0.__getitem__)  # stable: ties keep order
+        kids1 = sorted(rt1.children[u1], key=cls1.__getitem__)
+        stack.extend(reversed(list(zip(kids0, kids1))))
+    return mapping
 
 
 def rooted_isomorphism(rt0: RootedTree, rt1: RootedTree) -> Dict[int, int]:
@@ -217,15 +225,11 @@ def rooted_isomorphism(rt0: RootedTree, rt1: RootedTree) -> Dict[int, int]:
 
     Raises NotIsomorphic when the rooted shapes differ.
     """
-    memo0: Dict[int, tuple] = {}
-    memo1: Dict[int, tuple] = {}
-    c0 = _ahu_code(rt0, rt0.root, memo0)
-    c1 = _ahu_code(rt1, rt1.root, memo1)
-    if c0 != c1:
+    table: Dict[tuple, int] = {}
+    cls0, cls1 = _ahu_codes(rt0, table), _ahu_codes(rt1, table)
+    if cls0[rt0.root] != cls1[rt1.root]:
         raise NotIsomorphic("rooted canonical codes differ")
-    mapping: Dict[int, int] = {}
-    _match_rooted(rt0, rt0.root, rt1, rt1.root, memo0, memo1, mapping)
-    return mapping
+    return _match_rooted(rt0, cls0, rt1, cls1)
 
 
 def isomorphism_map(t0: Tree, t1: Tree, r0: int) -> Tuple[int, Dict[int, int]]:
@@ -239,29 +243,22 @@ def isomorphism_map(t0: Tree, t1: Tree, r0: int) -> Tuple[int, Dict[int, int]]:
     if sorted(t0.degree(v) for v in range(t0.n)) != sorted(t1.degree(v) for v in range(t1.n)):
         raise NotIsomorphic("degree sequences differ")
     rt0 = RootedTree.from_tree(t0, r0)
-    memo0: Dict[int, tuple] = {}
-    code0 = _ahu_code(rt0, r0, memo0)
+    table: Dict[tuple, int] = {}
+    cls0 = _ahu_codes(rt0, table)
     deg0 = t0.degree(r0)
     for r1 in range(t1.n):
         if t1.degree(r1) != deg0:
             continue
         rt1 = RootedTree.from_tree(t1, r1)
-        memo1: Dict[int, tuple] = {}
-        if _ahu_code(rt1, r1, memo1) != code0:
-            continue
-        mapping: Dict[int, int] = {}
-        _match_rooted(rt0, r0, rt1, r1, memo0, memo1, mapping)
-        return r1, mapping
+        cls1 = _ahu_codes(rt1, table)
+        if cls1[r1] == cls0[r0]:
+            return r1, _match_rooted(rt0, cls0, rt1, cls1)
     raise NotIsomorphic("no vertex of t1 matches the rooted shape at r0")
 
 
 # ---------------------------------------------------------------------------
 # caterpillars
 # ---------------------------------------------------------------------------
-
-def _is_path_tree(t: Tree) -> bool:
-    return all(t.degree(v) <= 2 for v in range(t.n))
-
 
 def caterpillar_decompose(t: Tree) -> CaterpillarDecomposition:
     """Spine and per-spine leaf lists, or NotACaterpillar.
@@ -301,7 +298,8 @@ def caterpillar_decompose(t: Tree) -> CaterpillarDecomposition:
             raise NotACaterpillar("internal vertices are not a single path")
 
     leaf_lists = tuple(tuple(w for w in t.adj[v] if w in leaves) for v in spine)
-    return CaterpillarDecomposition(t, tuple(spine), leaf_lists, _is_path_tree(t))
+    is_path = all(t.degree(v) <= 2 for v in range(t.n))
+    return CaterpillarDecomposition(t, tuple(spine), leaf_lists, is_path)
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +361,12 @@ def reorder_children_for_pruning(rt: RootedTree, leaf_set) -> RootedTree:
     """
     members = frozenset(leaf_set.leaf_ids if isinstance(leaf_set, SparseLeafSet) else leaf_set)
     new_children: Dict[int, List[int]] = {}
-
-    def visit(v: int):
+    stack = [rt.root]  # the type-D subtrees, in pre-order
+    while stack:
+        v = stack.pop()
         kids = list(rt.children[v])
         if not kids:
-            return
+            continue
         typed = [(subtree_type(rt, c, members), i, c) for i, c in enumerate(kids)]
         typed.sort(key=lambda t: (_TYPE_ORDER[t[0]], t[1]))
         new_children[v] = [c for _, _, c in typed]
@@ -377,10 +376,7 @@ def reorder_children_for_pruning(rt: RootedTree, leaf_set) -> RootedTree:
                 inset = [x for x in leaves if x in members]
                 rest = [x for x in leaves if x not in members]
                 new_children[c] = rest + inset
-            elif ty == "D":
-                visit(c)
-
-    visit(rt.root)
+        stack.extend(c for ty, _, c in reversed(typed) if ty == "D")
     return rt.with_children(new_children)
 
 

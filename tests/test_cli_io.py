@@ -22,6 +22,7 @@ from mwtrees.tree_model import (
     RootedTree,
     Tree,
     gen_corollary_family,
+    gen_random_caterpillar,
     is_sparse,
 )
 
@@ -232,6 +233,14 @@ class TestCli:
                          "-o", str(drawing)]) == 0
         assert cli_main(["verify", "-i", str(drawing),
                          "--beta", "1,1.5,2,5,10,inf", "--mode", "strict"]) == 0
+
+    def test_deep_tree_failure_is_an_error_line(self, tmp_path, capsys):
+        t = gen_random_caterpillar(1100, [0] * 1100, 3)
+        save_tree(TreeDocument(t, root=min(t.leaves())), str(tmp_path / "t.json"))
+        code = cli_main(["draw", "--mode", "tree", "-i", str(tmp_path / "t.json"),
+                         "-o", str(tmp_path / "d.json")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: DegenerateGeometry: ")
 
     def test_determinism(self, tmp_path):
         files = []

@@ -12,6 +12,7 @@ from mwtrees.tree_model import (
     gen_corollary_family,
     gen_random_tree,
     is_sparse,
+    reorder_children_for_pruning,
 )
 
 
@@ -40,6 +41,30 @@ class TestCorollaryFamily:
         rt, leaf_set = gen_corollary_family(1)
         d = draw_pruned_tree_pair(rt, leaf_set)
         assert (len(d.points0), len(d.points1)) == (7, 6)
+
+
+def deep_corollary():
+    """The m=2 corollary tree hung below a path of 1,100 vertices, rooted at
+    the path's far end: deeper than the recursion limit."""
+    rt, leaf_set = gen_corollary_family(2)
+    n = rt.tree.n
+    edges = rt.tree.edges + ((0, n),) + tuple((v, v + 1) for v in range(n, n + 1099))
+    order = {v: kids for v, kids in enumerate(rt.children) if kids}
+    return RootedTree.from_tree(Tree(n + 1100, edges), n + 1099, order), leaf_set
+
+
+class TestDeepTrees:
+    def test_reorder(self):
+        deep, leaf_set = deep_corollary()
+        assert is_sparse(deep, leaf_set)[0]
+        out = reorder_children_for_pruning(deep, leaf_set)
+        rt, _ = gen_corollary_family(2)
+        assert out.children[:rt.tree.n] == reorder_children_for_pruning(rt, leaf_set).children
+        assert out.children[rt.tree.n:] == deep.children[rt.tree.n:]
+
+    def test_draw_raises_degenerate_geometry(self):
+        with pytest.raises(DegenerateGeometry):
+            draw_pruned_tree_pair(*deep_corollary())
 
 
 class TestPreconditions:

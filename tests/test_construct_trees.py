@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -17,6 +18,7 @@ from mwtrees.tree_model import (
     RootedTree,
     Tree,
     gen_corollary_family,
+    gen_random_caterpillar,
     gen_random_tree,
     isomorphism_map,
 )
@@ -204,6 +206,14 @@ class TestGolden:
         assert str(err.value) == (
             "subtree at 0 fails strict verification at beta=1.0: 3 violation(s), "
             "first MissingWitness on side 0 pair (0, 3) margin 3.166e-04")
+
+    def test_deep_path_fails_fast(self):
+        t = gen_random_caterpillar(1100, [0] * 1100, 3)
+        rt = RootedTree.from_tree(t, min(t.leaves()))
+        start = time.perf_counter()
+        with pytest.raises(DegenerateGeometry):
+            draw_tree_pair(rt, rt)
+        assert time.perf_counter() - start < 1.0
 
     def test_path_height_16_dynamic_range_message(self):
         path = rooted([(i, i + 1) for i in range(16)], 17)

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,16 @@ import pytest
 
 import mwtrees.proximity as proximity
 from mwtrees.errors import DegenerateInput, MissingAnnotation
-from mwtrees.geometry import BETA_INF, TOL, Point, region_margin, rotate_about
+from mwtrees.geometry import (
+    BETA_INF,
+    TOL,
+    BetaRegion,
+    Point,
+    region_contains,
+    region_margin,
+    region_scale,
+    rotate_about,
+)
 from mwtrees.proximity import (
     DrawingPair,
     ParallelogramAnnotation,
@@ -244,6 +254,69 @@ class TestMarginKernel:
                 assert np.array_equal(g.view(np.int64), w.view(np.int64)), trial
             zeros += int((want[0] == 0.0).sum())
         assert zeros > 0
+
+
+PINNED_BETAS = [1.0, 1.5, 1.7, 2.0, 5.0, 10.0, BETA_INF]
+
+
+def kernel_tables(gen):
+    """``(P, Q, W)`` tables: normal points at spans from 1e-6 to 1e6, then
+    pairs and witnesses on integer and half-integer grids, where witnesses
+    sit exactly on region boundaries."""
+    for _ in range(150):
+        span = 10.0 ** gen.uniform(-6, 6)
+        yield tuple(gen.normal(size=(n, 2)) * span for n in (3, 3, 5))
+    for step in (1.0, 0.5):
+        grid = np.array([(x, y) for x in range(-3, 4) for y in range(-3, 4)], dtype=float) * step
+        for _ in range(12):
+            i, j = gen.choice(len(grid), size=(2, 6), replace=False)
+            yield grid[i], grid[j], grid
+
+
+class TestScalarMargin:
+    """``region_margin`` and ``region_scale`` compute the kernel's floats."""
+
+    @pytest.mark.parametrize("beta", PINNED_BETAS)
+    def test_bitwise_equal_to_kernel(self, beta):
+        gen = np.random.default_rng(1154)
+        zeros = 0
+        for P, Q, W in kernel_tables(gen):
+            marg, scale = pair_witness_margins(P, Q, W, beta)
+            for i, (p, q) in enumerate(zip(P.tolist(), Q.tolist())):
+                for k, w in enumerate(W.tolist()):
+                    assert region_margin(p, q, beta, w).hex() == marg[i, k].hex(), (p, q, w)
+                    assert region_scale(p, q, w).hex() == scale[i, k].hex(), (p, q, w)
+            zeros += int((marg == 0.0).sum())
+        assert zeros > 0
+
+    @pytest.mark.parametrize("beta", PINNED_BETAS)
+    def test_region_contains_agrees_with_extraction(self, beta):
+        """One witness against one pair: the pair is an edge exactly when the
+        witness is not in its region, on a grid with boundary cases."""
+        grid = [Point(x / 2, y / 2) for x in range(-2, 3) for y in range(-2, 3)]
+        rng = random.Random(1154)
+        on_boundary = 0
+        for _ in range(8):
+            p, q = rng.sample(grid, 2)
+            for w in grid:
+                verdicts = [region_contains(BetaRegion(p, q, beta, closed), w)
+                            for closed in (True, False)]
+                for closed, inside in zip((True, False), verdicts):
+                    e0, _ = extract_mw_graphs([p, q], [w], beta, closed)
+                    assert inside == (e0 == ()), (p, q, w, closed)
+                on_boundary += verdicts == [True, False]
+        assert on_boundary > 0
+
+    @pytest.mark.parametrize("beta", PINNED_BETAS)
+    def test_underflowing_distance_is_coincident(self, beta):
+        """Points 1e-170 apart are distinct, but ``dx*dx + dy*dy`` underflows
+        to 0: both the scalar and the array margin reject the pair."""
+        p, q, w = (0.0, 0.0), (1e-170, 1e-170), (1.0, 1.0)
+        assert p != q
+        with pytest.raises(DegenerateInput, match="coincident"):
+            region_margin(p, q, beta, w)
+        with pytest.raises(DegenerateInput, match="coincident"):
+            pair_witness_margins(np.array([p]), np.array([q]), np.array([w]), beta)
 
 
 def reference_report(d, beta, mode, margin=TOL):

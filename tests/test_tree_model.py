@@ -89,6 +89,30 @@ class TestIsomorphism:
         assert rooted_code(rt0) == rooted_code(rt1)
 
 
+def deep_path():
+    """A path of 1,100 vertices rooted at a leaf, deeper than the recursion limit."""
+    t = gen_random_caterpillar(1100, [0] * 1100, 3)
+    return RootedTree.from_tree(t, min(t.leaves()))
+
+
+class TestDeepTrees:
+    def test_height(self):
+        assert deep_path().height() == 1099
+
+    def test_isomorphisms(self):
+        rt = deep_path()
+        assert rooted_isomorphism(rt, rt) == {v: v for v in range(1100)}
+        assert isomorphism_map(rt.tree, rt.tree, rt.root) == (rt.root, {v: v for v in range(1100)})
+
+    def test_matching_pairs_equal_children_in_order(self):
+        # the root's children: two single leaves and two isomorphic paths,
+        # listed in different orders on the two sides
+        edges = ((0, 1), (0, 2), (0, 3), (0, 4), (3, 5), (4, 6))
+        rt0 = RootedTree.from_tree(Tree(7, edges), 0, {0: (1, 3, 2, 4)})
+        rt1 = RootedTree.from_tree(Tree(7, edges), 0, {0: (4, 2, 3, 1)})
+        assert rooted_isomorphism(rt0, rt1) == {0: 0, 1: 2, 2: 1, 3: 4, 4: 3, 5: 6, 6: 5}
+
+
 class TestCaterpillarDecompose:
     def test_path_five(self):
         dec = caterpillar_decompose(path(5))
