@@ -175,9 +175,9 @@ def region_margin(p: Sequence[float], q: Sequence[float], beta: float,
         m1 = (wx - px) * (dx / d) + 0.0 + (wy - py) * (dy / d)
         m2 = d - m1
     else:
-        if not (isinstance(beta, (int, float)) and math.isfinite(beta)):
+        if not math.isfinite(beta):
             raise DegenerateInput(f"beta must be a finite real >= 1, got {beta!r}")
-        half = beta / 2.0
+        half = float(beta) / 2.0
         r = half * d
         ex, ey = wx - ((1.0 - half) * px + half * qx), wy - ((1.0 - half) * py + half * qy)
         m1 = r - math.sqrt(ex * ex + ey * ey)

@@ -164,7 +164,7 @@ def _margins(P: np.ndarray, Q: np.ndarray, W: np.ndarray,
         proj = (W[..., 0] - P[:, 0, None]) * u[:, 0, None] + 0.0
         proj += (W[..., 1] - P[:, 1, None]) * u[:, 1, None]
         return np.minimum(proj, d - proj), scale
-    half = beta / 2.0
+    half = float(beta) / 2.0
     r = half * d
     m1 = r - _dist_table(W, (1.0 - half) * P + half * Q)
     if half == 0.5:  # beta 1: the second disk is the first, bit for bit
@@ -212,9 +212,47 @@ def _full_rows(P: np.ndarray, Q: np.ndarray, W: np.ndarray, beta: float, tol: fl
     """Closed and open hits, deepest witness, its margin and its scale per pair."""
     marg, scale = pair_witness_margins(P, Q, W, beta)
     t = tol * scale
-    best = np.argmax(marg, axis=1)[:, None]
-    return ((marg >= -t).any(axis=1), (marg > t).any(axis=1), best[:, 0],
-            np.take_along_axis(marg, best, 1)[:, 0], np.take_along_axis(scale, best, 1)[:, 0])
+    r, best = np.arange(len(marg)), np.argmax(marg, axis=1)
+    return ((marg >= -t).any(axis=1), (marg > t).any(axis=1), best, marg[r, best], scale[r, best])
+
+
+def _side_pairs(own: Sequence[Point], other: Sequence[Point], edges: Sequence[Tuple[int, int]]):
+    """The beta-independent part of ``side_verdicts``: pairs, endpoints, witnesses and
+    edge mask, and above ``_SETTLE_CELLS`` cells each pair's candidate and ``S``."""
+    n = len(own)
+    r = np.arange(n)
+    iu, jv = np.nonzero(r[:, None] < r)  # np.triu_indices(n, k=1), with less overhead
+    A, B = (np.asarray(pts, dtype=float) for pts in (own, other))
+    P, Q = A[iu], A[jv]
+    e = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[e[:, 0], e[:, 1]] = adj[e[:, 1], e[:, 0]] = True
+    if len(iu) * len(B) <= _SETTLE_CELLS:
+        return iu, jv, P, Q, B, adj[iu, jv], None, None
+    step = max(1, _CHUNK // len(B))
+    cand = np.zeros(len(iu), dtype=np.intp)
+    for i in range(0, len(iu), step):
+        cand[i:i + step] = _sq_table(B, 0.5 * (P[i:i + step] + Q[i:i + step])).argmin(axis=1)
+    S = 2.0 * float(np.ptp(np.concatenate((A, B)), axis=0).max())
+    # while S * S is normal and finite, no computed scale exceeds S; else settle none
+    return iu, jv, P, Q, B, adj[iu, jv], cand, S if 2.0 ** -1022 <= S * S < math.inf else math.inf
+
+
+def _side_beta(pairs, beta: float, tol: float) -> SideVerdicts:
+    """``side_verdicts`` at ``beta`` from the ``_side_pairs`` of one side."""
+    iu, jv, P, Q, B, is_edge, cand, S = pairs
+    if cand is None:
+        return SideVerdicts(iu, jv, is_edge, *_full_rows(P, Q, B, beta, tol))
+    depth, scale = (t[:, 0] for t in _margins(P, Q, B[cand][:, None], beta))
+    open_hit = ~is_edge & (depth > tol * S)
+    closed_hit, witness = open_hit.copy(), cand.copy()
+    rest = np.flatnonzero(~open_hit)
+    step = max(1, _CHUNK // len(B))
+    for i in range(0, len(rest), step):
+        rows = rest[i:i + step]
+        (closed_hit[rows], open_hit[rows], witness[rows], depth[rows],
+         scale[rows]) = _full_rows(P[rows], Q[rows], B, beta, tol)
+    return SideVerdicts(iu, jv, is_edge, closed_hit, open_hit, witness, depth, scale)
 
 
 def side_verdicts(own: Sequence[Point], other: Sequence[Point], beta: float,
@@ -225,32 +263,7 @@ def side_verdicts(own: Sequence[Point], other: Sequence[Point], beta: float,
     The tolerance is ``max(TOL, margin)`` times each witness's local scale.  Pairs
     not settled get full margin rows, in tables of ``_CHUNK`` cells (or one row).
     """
-    n = len(own)
-    iu, jv = np.triu_indices(n, k=1)
-    A, B = (np.asarray(pts, dtype=float) for pts in (own, other))
-    P, Q = A[iu], A[jv]
-    e = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-    adj = np.zeros((n, n), dtype=bool)
-    adj[e[:, 0], e[:, 1]] = adj[e[:, 1], e[:, 0]] = True
-    is_edge = adj[iu, jv]
-    tol = max(TOL, margin)
-    if len(iu) * len(B) <= _SETTLE_CELLS:
-        return SideVerdicts(iu, jv, is_edge, *_full_rows(P, Q, B, beta, tol))
-    step = max(1, _CHUNK // len(B))
-    witness = np.zeros(len(iu), dtype=np.intp)
-    for i in range(0, len(iu), step):
-        witness[i:i + step] = _sq_table(B, 0.5 * (P[i:i + step] + Q[i:i + step])).argmin(axis=1)
-    depth, scale = (t[:, 0] for t in _margins(P, Q, B[witness][:, None], beta))
-    S = 2.0 * float(np.ptp(np.concatenate((A, B)), axis=0).max())
-    # while S * S is normal and finite, no computed scale exceeds S
-    open_hit = ~is_edge & (depth > (tol * S if 2.0 ** -1022 <= S * S < math.inf else math.inf))
-    closed_hit = open_hit.copy()
-    rest = np.flatnonzero(~open_hit)
-    for i in range(0, len(rest), step):
-        rows = rest[i:i + step]
-        (closed_hit[rows], open_hit[rows], witness[rows], depth[rows],
-         scale[rows]) = _full_rows(P[rows], Q[rows], B, beta, tol)
-    return SideVerdicts(iu, jv, is_edge, closed_hit, open_hit, witness, depth, scale)
+    return _side_beta(_side_pairs(own, other, edges), beta, max(TOL, margin))
 
 
 def _check_distinct(points: Sequence[Point], side: str):
@@ -299,10 +312,19 @@ def verify(d: DrawingPair, beta: float, mode: str = "strict",
         raise DegenerateInput(f"unknown mode {mode!r}")
     if not (margin >= 0.0 and math.isfinite(margin)):
         raise DegenerateInput(f"margin must be a finite real >= 0, got {margin!r}")
+    return _report(_drawing_sides(d), beta, mode, margin)
+
+
+def _drawing_sides(d: DrawingPair):
+    return [_side_pairs(d.side(side), d.side(1 - side), d.edges(side)) for side in (0, 1)]
+
+
+def _report(sides, beta: float, mode: str, margin: float) -> VerificationReport:
+    """``verify`` of a drawing whose ``_drawing_sides`` are ``sides``."""
     violations: List[Violation] = []
     borderline: List[Tuple[int, Tuple[int, int], float]] = []
-    for side in (0, 1):
-        v = side_verdicts(d.side(side), d.side(1 - side), beta, d.edges(side), margin)
+    for side, pairs in enumerate(sides):
+        v = _side_beta(pairs, beta, max(TOL, margin))
         forbidden = v.is_edge & (v.open_hit if mode == "open" else v.closed_hit)
         missing = ~v.is_edge & ~(v.closed_hit if mode == "closed" else v.open_hit)
         near = np.abs(v.depth) <= max(TOL, margin) * v.scale
@@ -321,8 +343,10 @@ def verify(d: DrawingPair, beta: float, mode: str = "strict",
 
 def verify_universal(d: DrawingPair, betas: Optional[Sequence[float]] = None
                      ) -> List[VerificationReport]:
-    """Strict-mode verification at each sampled beta (default sample)."""
-    return [verify(d, b, "strict") for b in (DEFAULT_BETAS if betas is None else betas)]
+    """Strict-mode verification at each sampled beta (default sample).  Each side's
+    pairs and candidate witnesses are found once, for all betas."""
+    sides = _drawing_sides(d)
+    return [_report(sides, b, "strict", TOL) for b in (DEFAULT_BETAS if betas is None else betas)]
 
 
 # ---------------------------------------------------------------------------

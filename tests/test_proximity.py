@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mwtrees.geometry import (
     rotate_about,
 )
 from mwtrees.proximity import (
+    DEFAULT_BETAS,
     DrawingPair,
     ParallelogramAnnotation,
     check_parallelogram_drawing,
@@ -318,6 +320,25 @@ class TestScalarMargin:
         with pytest.raises(DegenerateInput, match="coincident"):
             pair_witness_margins(np.array([p]), np.array([q]), np.array([w]), beta)
 
+    @pytest.mark.parametrize("beta", [np.float32(2.0), np.float32(1.7), Fraction(3, 2),
+                                      np.float64(5.0), 2])
+    def test_non_float_betas_equal_kernel(self, beta):
+        """A beta that is a real number of another type is computed as its
+        float, in the scalar margin and in the kernel alike."""
+        gen = np.random.default_rng(1154)
+        for P, Q, W in kernel_tables(gen):
+            marg = pair_witness_margins(P, Q, W, beta)[0]
+            assert np.array_equal(marg, pair_witness_margins(P, Q, W, float(beta))[0])
+            for i, (p, q) in enumerate(zip(P.tolist(), Q.tolist())):
+                for k, w in enumerate(W.tolist()):
+                    assert region_margin(p, q, beta, w).hex() == marg[i, k].hex(), (p, q, w)
+
+    @pytest.mark.parametrize("beta", [np.float32(0.5), Fraction(1, 2), np.float32("nan"),
+                                      np.float64(-math.inf)])
+    def test_non_float_betas_outside_domain_rejected(self, beta):
+        with pytest.raises(DegenerateInput, match=r"beta must lie in \[1, inf\]"):
+            region_margin(PATH0[0], PATH0[2], beta, PATH1[1])
+
 
 def reference_report(d, beta, mode, margin=TOL):
     """``verify`` as first written, in the form of ``bits``: every pair judged
@@ -494,6 +515,73 @@ class TestSettledVerdicts:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+
+class TestVerifyUniversal:
+    """``verify_universal`` finds each side's pairs and candidates once, for all betas."""
+
+    @pytest.mark.parametrize("betas", [(1.0, 1.5, 1.7, 2.0, 10.0, BETA_INF), None])
+    def test_bit_identical_to_verify_per_beta(self, rng, settling, betas):
+        for d in corrupted_drawings(rng):
+            want = [bits(verify(d, b)) for b in (DEFAULT_BETAS if betas is None else betas)]
+            assert [bits(r) for r in verify_universal(d, betas)] == want
+            assert any(r[2] for r in want)
+
+    def test_shared_pairs_keep_their_candidates(self, rng, settling):
+        """One side's ``_side_pairs`` judged at several betas in turn gives, at
+        each, every array ``side_verdicts`` gives: no beta moves the candidates.
+        In the last drawing, (0.95, 0.6) is nearest the midpoint of (0, 0)-(1, 0);
+        it lies outside the beta=2 region, which holds (0.5, 0.8), and inside
+        the beta=inf one."""
+        fields = ("iu", "jv", "is_edge", "closed_hit", "open_hit", "witness", "depth", "scale")
+        last = DrawingPair([(0, 0), (1, 0)], [(0.95, 0.6), (0.5, 0.8)])
+        for d in list(corrupted_drawings(rng)) + [last]:
+            for side in (0, 1):
+                args = (d.side(side), d.side(1 - side))
+                pairs = proximity._side_pairs(*args, d.edges(side))
+                for beta in (2.0, BETA_INF, 1.0, 1.7):
+                    got = proximity._side_beta(pairs, beta, TOL)
+                    want = side_verdicts(*args, beta, d.edges(side))
+                    for f in fields:
+                        g, w = getattr(got, f), getattr(want, f)
+                        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (beta, f)
+
+    def test_no_betas(self):
+        assert verify_universal(DrawingPair(PATH0, PATH1, PATH_EDGES, PATH_EDGES), ()) == []
+
+    def test_beta_outside_domain_in_list_rejected(self, settling):
+        d = DrawingPair(PATH0, PATH1, PATH_EDGES, PATH_EDGES)
+        with pytest.raises(DegenerateInput) as single:
+            verify(d, 0.5)
+        with pytest.raises(DegenerateInput) as listed:
+            verify_universal(d, (1.0, 0.5, 2.0))
+        assert str(listed.value) == str(single.value)
+
+    def test_pairs_found_once_per_side(self, rng, monkeypatch):
+        calls = []
+        side_pairs = proximity._side_pairs
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return side_pairs(*args)
+
+        monkeypatch.setattr(proximity, "_side_pairs", counted)
+        a, b = random_points(rng, 26), random_points(rng, 22)
+        assert len(verify_universal(DrawingPair(a, b))) == len(DEFAULT_BETAS)
+        assert calls == [26, 22]
+
+    def test_memory_bounded(self):
+        """320 random points a side verify at every default beta within 48 MiB
+        of traced memory."""
+        gen = np.random.default_rng(320)
+        d = DrawingPair(gen.uniform(0, 1, (320, 2)).tolist(), gen.uniform(0, 1, (320, 2)).tolist())
+        tracemalloc.start()
+        try:
+            verify_universal(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2 ** 20
 
 
 CANON = ParallelogramAnnotation(Point(0, 3), Point(1, 1), Point(3, 0), Point(2, 2),
