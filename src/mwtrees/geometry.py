@@ -123,9 +123,9 @@ def beta_disks(p: Sequence[float], q: Sequence[float], beta: float):
     d = dist(p, q)
     if d == 0.0:
         raise DegenerateInput("beta region undefined for coincident points")
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta >= 1.0):
+    if not (math.isfinite(beta) and beta >= 1.0):
         raise DegenerateInput(f"beta must be a finite real >= 1, got {beta!r}")
-    half = beta / 2.0
+    half = float(beta) / 2.0
     c1 = Point((1.0 - half) * p[0] + half * q[0], (1.0 - half) * p[1] + half * q[1])
     c2 = Point(half * p[0] + (1.0 - half) * q[0], half * p[1] + (1.0 - half) * q[1])
     return c1, c2, half * d

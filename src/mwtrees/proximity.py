@@ -341,12 +341,42 @@ def _report(sides, beta: float, mode: str, margin: float) -> VerificationReport:
     return VerificationReport(mode, beta, tuple(violations), tuple(borderline))
 
 
+def _undecided(d: DrawingPair, sides: list, betas: Tuple) -> list:
+    """``sides`` less the rows whose verdict beta=1 and beta=inf fix at all ``betas``."""
+    if not (betas and all(b >= 1.0 for b in betas)):
+        return sides
+    X = np.asarray(d.points0 + d.points1, dtype=float)
+    M, S = float(np.abs(X).max()), 2.0 * float(np.ptp(X, axis=0).max())
+    bmax = max([1.0] + [float(b) for b in betas if b != BETA_INF])
+    if not (2.0 ** -1022 <= S * S < math.inf and 8.0 * bmax * M < 2.0 ** 511):
+        return sides
+    # Regions nest: m_1 <= m_beta <= m_inf.  With |coordinates| <= M, u = 2**-53 and no sum
+    # of squares above (8*bmax*M)**2, a finite-beta margin is within 24*u*beta*M of exact
+    # (centres and differences below 2*beta*M, ~8 roundings of 3*u*beta*M), a beta=inf one
+    # within 37*u*M: 61*u*bmax*M between two, doubled; the floor covers 2**-533*bmax underflow.
+    slack = 128 * 2.0 ** -53 * bmax * max(M, 2.0 ** -480)
+    for s, (iu, jv, P, Q, B, is_edge, cand, S_) in enumerate(sides):
+        ne, ed, keep = np.flatnonzero(~is_edge), np.flatnonzero(is_edge), is_edge.copy()
+        m1 = (pair_witness_margins(P[ne], Q[ne], B, 1.0)[0].max(axis=1) if cand is None
+              else _margins(P[ne], Q[ne], B[cand[ne]][:, None], 1.0)[0][:, 0])
+        keep[ne] = ~(m1 - TOL * S > slack)  # a non-edge clear at beta=1; NaN stays
+        step = max(1, _CHUNK // len(B))
+        for rows in (ed[i:i + step] for i in range(0, len(ed), step)):
+            marg, scale = pair_witness_margins(P[rows], Q[rows], B, BETA_INF)
+            marg += np.multiply(scale, TOL, out=scale)
+            keep[rows] = ~(marg.max(axis=1) < -slack)  # an edge clear at beta=inf
+            del marg, scale  # before the next chunk's tables
+        sides[s] = (iu[keep], jv[keep], P[keep], Q[keep], B, is_edge[keep],
+                    None if cand is None else cand[keep], S_)
+    return sides
+
+
 def verify_universal(d: DrawingPair, betas: Optional[Sequence[float]] = None
                      ) -> List[VerificationReport]:
-    """Strict-mode verification at each sampled beta (default sample).  Each side's
-    pairs and candidate witnesses are found once, for all betas."""
-    sides = _drawing_sides(d)
-    return [_report(sides, b, "strict", TOL) for b in (DEFAULT_BETAS if betas is None else betas)]
+    """Strict-mode ``verify`` at each sampled beta (default sample), sharing work across betas."""
+    betas = tuple(DEFAULT_BETAS if betas is None else betas)
+    sides = _undecided(d, _drawing_sides(d), betas)
+    return [_report(sides, b, "strict", TOL) for b in betas]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ import math
 import random
 import time
 
+import numpy as np
+import pytest
+
 from mwtrees.construct import (
     draw_caterpillar_pair,
     draw_pruned_tree_pair,
@@ -27,6 +30,7 @@ from mwtrees.geometry import (
 from mwtrees.proximity import (
     check_parallelogram_drawing,
     extract_mw_graphs,
+    pair_witness_margins,
     strip_ratio,
     verify,
     verify_universal,
@@ -39,8 +43,6 @@ from mwtrees.tree_model import (
     gen_random_tree,
 )
 from conftest import random_points
-
-_STATE = {}
 
 
 def _report(num, message, elapsed, budget):
@@ -67,7 +69,10 @@ def test_criterion_1_star_golden_coordinates():
             elapsed, 1)
 
 
-def test_criterion_2_caterpillar_theorem():
+@pytest.fixture(scope="module")
+def caterpillar_drawings():
+    """The 209 caterpillars of criteria 2 and 6, their drawings, and the
+    seconds spent building both."""
     start = time.perf_counter()
     rng = random.Random(0xCA7)
     trees = []
@@ -81,10 +86,14 @@ def test_criterion_2_caterpillar_theorem():
             counts[counts.index(max(counts))] -= 1
         trees.append(gen_random_caterpillar(spine, counts, 7000 + trial))
         trial += 1
+    drawings = [draw_caterpillar_pair(caterpillar_decompose(tree)) for tree in trees]
+    return trees, drawings, time.perf_counter() - start
 
-    drawings = []
-    for tree in trees:
-        d = draw_caterpillar_pair(caterpillar_decompose(tree))
+
+def test_criterion_2_caterpillar_theorem(caterpillar_drawings):
+    trees, drawings, build_s = caterpillar_drawings
+    start = time.perf_counter()
+    for tree, d in zip(trees, drawings):
         rep = verify(d, 1.0, "closed")
         assert rep.ok, rep.violations[:3]
         e0, e1 = extract_mw_graphs(d.points0, d.points1, 1.0, True)
@@ -96,9 +105,7 @@ def test_criterion_2_caterpillar_theorem():
         margin = min(min(p.y for p in d.points0) - level,
                      level - max(p.y for p in d.points1))
         assert margin > TOL * scale
-        drawings.append(d)
-    _STATE["caterpillars"] = drawings
-    elapsed = time.perf_counter() - start
+    elapsed = build_s + time.perf_counter() - start
     assert elapsed < 60.0
     _report(2, f"{len(trees)} caterpillar pairs closed-valid, edge sets "
             "reproduced, midline separates", elapsed, 60)
@@ -215,7 +222,7 @@ def test_criterion_5_oracle_and_region_properties():
             elapsed, 120)
 
 
-def test_criterion_6_region_properties_of_drawings():
+def test_criterion_6_region_properties_of_drawings(caterpillar_drawings):
     start = time.perf_counter()
     rng = random.Random(0xBEEF)
 
@@ -269,25 +276,26 @@ def test_criterion_6_region_properties_of_drawings():
                 assert abs(m) <= 10 * TOL * region_scale(a_own, port, b_opp)
     assert triples == 1000
 
-    # stored caterpillar drawings: every closed-disk witness of a
-    # non-adjacent pair also lies in the closed perpendicular strip
-    drawings = _STATE.get("caterpillars")
-    assert drawings, "criterion 2 must run first"
+    # the caterpillar drawings: every closed-disk witness of a non-adjacent
+    # pair also lies in the closed perpendicular strip (the kernel's floats
+    # are region_margin's and region_scale's, bit for bit)
     checked = 0
-    for d in drawings:
+    for d in caterpillar_drawings[1]:
         for side in (0, 1):
-            own = d.side(side)
-            other = d.side(1 - side)
+            own = np.asarray(d.side(side), dtype=float)
+            other = np.asarray(d.side(1 - side), dtype=float)
             edges = set(d.edges(side))
-            for i in range(len(own)):
-                for j in range(i + 1, len(own)):
-                    if (i, j) in edges:
-                        continue
-                    for w in other:
-                        s = TOL * region_scale(own[i], own[j], w)
-                        if region_margin(own[i], own[j], 1.0, w) >= -s:
-                            assert region_margin(own[i], own[j], BETA_INF, w) >= -s
-                            checked += 1
+            pairs = [(i, j) for i in range(len(own)) for j in range(i + 1, len(own))
+                     if (i, j) not in edges]
+            if not pairs:
+                continue
+            P, Q = own[[i for i, _ in pairs]], own[[j for _, j in pairs]]
+            disk, scale = pair_witness_margins(P, Q, other, 1.0)
+            strip = pair_witness_margins(P, Q, other, BETA_INF)[0]
+            s = TOL * scale
+            hit = disk >= -s
+            assert (strip[hit] >= -s[hit]).all()
+            checked += int(hit.sum())
     assert checked > 1000
     elapsed = time.perf_counter() - start
     _report(6, f"1000 winged-parallelogram triples and {checked} strip checks, "

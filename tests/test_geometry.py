@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -54,6 +56,18 @@ class TestBetaDisks:
             beta_disks((0, 0), (1, 0), 0.5)
         with pytest.raises(DegenerateInput):
             beta_disks((0, 0), (1, 0), BETA_INF)
+
+    @pytest.mark.parametrize("beta, same", [(np.float32(2.0), 2.0), (Fraction(3, 2), 1.5)])
+    def test_non_float_betas_compute_with_floats(self, beta, same):
+        got = beta_disks((0.1, 0.3), (4.7, -1.9), beta)
+        assert got == beta_disks((0.1, 0.3), (4.7, -1.9), same)
+        assert all(type(v) is float for v in (*got[0], *got[1], got[2]))
+
+    @pytest.mark.parametrize("beta", [np.float32(0.5), Fraction(1, 2), np.float32("inf"),
+                                      Fraction(-3, 2), float("nan")])
+    def test_non_float_betas_outside_domain_rejected(self, beta):
+        with pytest.raises(DegenerateInput, match=r"^beta must be a finite real >= 1, got "):
+            beta_disks((0, 0), (1, 0), beta)
 
 
 class TestRegionContains:

@@ -30,6 +30,14 @@ from mwtrees.proximity import (
     verify,
     verify_universal,
 )
+from mwtrees.construct import draw_caterpillar_pair, draw_pruned_tree_pair, draw_tree_pair
+from mwtrees.tree_model import (
+    RootedTree,
+    caterpillar_decompose,
+    gen_corollary_family,
+    gen_random_caterpillar,
+    gen_random_tree,
+)
 from conftest import brute_mw_edges, random_points
 
 PATH0 = (Point(0, 0), Point(1, 0), Point(2, 0))
@@ -583,6 +591,140 @@ class TestVerifyUniversal:
             tracemalloc.stop()
         assert peak < 48 * 2 ** 20
 
+
+
+UNIVERSAL_BETA_LISTS = [None, (), (1,), (BETA_INF,), (1e3, 1e6), (1e12, 1e13, 1e16, BETA_INF),
+                        (np.float32(2), Fraction(3, 2)), (1, 0.5), (0.5,), (math.nan,)]
+
+
+def outcome(call):
+    """A call's reports as ``bits``, or its exception's class and message."""
+    try:
+        return [bits(r) for r in call()]
+    except DegenerateInput as exc:
+        return type(exc), str(exc)
+
+
+def tree_drawings():
+    """A depth-3 tree drawing, a pruned drawing and a caterpillar drawing."""
+    rt = RootedTree.from_tree(gen_random_tree(16, 7, max_depth=3), 0)
+    yield draw_tree_pair(rt, rt)
+    yield draw_pruned_tree_pair(*gen_corollary_family(2))
+    yield draw_caterpillar_pair(caterpillar_decompose(gen_random_caterpillar(4, [2, 0, 3, 1], 5)))
+
+
+def moved(d):
+    """``d`` and copies translated by 1e8 and 1e15 and scaled by 1e-6, 1e150 and 1e-150."""
+    yield d
+    for f in (lambda v: v + 1e8, lambda v: v + 1e15, lambda v: v * 1e-6,
+              lambda v: v * 1e150, lambda v: v * 1e-150):
+        yield DrawingPair([(f(x), f(y)) for x, y in d.points0],
+                          [(f(x), f(y)) for x, y in d.points1], d.edges0, d.edges1)
+
+
+def all_beta_drawings(rng):
+    """The drawings the pre-pass is tested on.  In the two far-witness drawings
+    the pair's beta=1 margin clears tolerance at its own scale but not at ``S``,
+    and at beta=inf another, far witness is the deepest and borderline."""
+    far = [DrawingPair([(0, 0), (1, 0)], [(0.5, 1e10), (0.49, 0.3)]),
+           DrawingPair([(0, 0), (1, 1)], [(0.5 - 6e8, 0.5 + 6e8), (0.4, 0.55)])]
+    for d in list(corrupted_drawings(rng)) + list(tree_drawings()) + far:
+        yield from moved(d)
+    yield DrawingPair(PATH0 + (PATH0[1],), PATH1, PATH_EDGES, PATH_EDGES)  # coincident
+
+
+class TestAllBetaPrePass:
+    """``verify_universal`` judges per beta only the pairs that beta=1 and
+    beta=inf leave undecided; the reports stay those of ``verify``."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_differential_against_verify(self, rng, settling):
+        drawings = list(all_beta_drawings(rng))
+        single = {}
+
+        def verify_once(i, b):  # betas recur across the lists
+            if (i, type(b), b) not in single:
+                single[i, type(b), b] = verify(drawings[i], b)
+            return single[i, type(b), b]
+
+        reported = 0
+        for betas in UNIVERSAL_BETA_LISTS:
+            listed = DEFAULT_BETAS if betas is None else betas
+            for i, d in enumerate(drawings):
+                want = outcome(lambda: [verify_once(i, b) for b in listed])
+                assert outcome(lambda: verify_universal(d, betas)) == want, (betas, i)
+                reported += isinstance(want, list) and any(r[2] or r[3] for r in want)
+        assert reported > 0
+
+    def test_undecided_rows_few_on_a_clean_tree(self, monkeypatch):
+        """On a clean depth-3 tree drawing, the per-beta stage sees under 5% of the pairs."""
+        rt = RootedTree.from_tree(gen_random_tree(60, 1, max_depth=3), 0)
+        d = draw_tree_pair(rt, rt)
+        seen = []
+        side_beta = proximity._side_beta
+
+        def counted(pairs, beta, tol):
+            seen.append(len(pairs[0]))
+            return side_beta(pairs, beta, tol)
+
+        monkeypatch.setattr(proximity, "_side_beta", counted)
+        assert all(r.ok for r in verify_universal(d))
+        n0, n1 = len(d.points0), len(d.points1)
+        pairs = n0 * (n0 - 1) // 2 + n1 * (n1 - 1) // 2
+        assert len(seen) == 2 * len(DEFAULT_BETAS)
+        assert sum(seen) < 0.05 * pairs * len(DEFAULT_BETAS)
+
+    @pytest.mark.parametrize("scale, betas", [
+        (1.0, ()), (1.0, (1.0, 0.5)), (1.0, (math.nan,)), (1e150, (1e3, 1e6)),
+        (1e-160, (1.0,)), (1e200, (1.0,)), (1.0, (1.0, 1e300))])
+    def test_unbounded_rounding_keeps_every_row(self, scale, betas):
+        """No betas, a beta outside [1, inf], ``S * S`` not normal and finite, or
+        a sum of squares that may overflow at the largest finite beta: no row
+        is dropped, and the per-beta stage is today's."""
+        rt = RootedTree.from_tree(gen_random_tree(12, 3, max_depth=3), 0)
+        d = draw_tree_pair(rt, rt)
+        d = DrawingPair([(x * scale, y * scale) for x, y in d.points0],
+                        [(x * scale, y * scale) for x, y in d.points1], d.edges0, d.edges1)
+        sides = proximity._drawing_sides(d)
+        kept = proximity._undecided(d, list(sides), betas)
+        assert all(a is b for k, s in zip(kept, sides) for a, b in zip(k, s))
+
+    def test_nan_margin_keeps_its_row(self):
+        """A row whose margin is NaN stays, whichever extreme would decide it."""
+        rt = RootedTree.from_tree(gen_random_tree(12, 3, max_depth=3), 0)
+        d = draw_tree_pair(rt, rt)
+        sides = proximity._drawing_sides(d)
+        iu, jv, P, Q, B, is_edge, cand, S = sides[0]
+        first = proximity._undecided(d, list(sides), DEFAULT_BETAS)[0]
+        dropped = set(zip(iu.tolist(), jv.tolist())) - set(zip(first[0].tolist(), first[1].tolist()))
+        rows = [r for r in range(len(iu)) if (int(iu[r]), int(jv[r])) in dropped]
+        edge = next(r for r in rows if is_edge[r])
+        non_edge = next(r for r in rows if not is_edge[r])
+        P = P.copy()
+        P[[edge, non_edge]] = math.nan
+        kept = proximity._undecided(d, [(iu, jv, P, Q, B, is_edge, cand, S), sides[1]],
+                                    DEFAULT_BETAS)[0]
+        got = set(zip(kept[0].tolist(), kept[1].tolist()))
+        assert {(int(iu[edge]), int(jv[edge])), (int(iu[non_edge]), int(jv[non_edge]))} <= got
+
+    def test_memory_of_an_all_edge_layout(self):
+        """Two clouds of 160 uniform points, 1.5 apart, claiming every pair as
+        an edge: the beta=inf pre-pass runs in ``_CHUNK``-cell chunks, and the
+        traced peak stays within 10% of the per-beta path's 38 MiB."""
+        gen = np.random.default_rng(160)
+        a = gen.uniform(0, 1, (160, 2)).tolist()
+        b = (gen.uniform(0, 1, (160, 2)) + (1.5, 0.0)).tolist()
+        d = DrawingPair(a, b, *extract_mw_graphs(a, b, 1.0, False))
+        assert len(d.edges0) == len(d.edges1) == 160 * 159 // 2
+        tracemalloc.start()
+        try:
+            reports = verify_universal(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reports[0].ok and not reports[-1].ok
+        assert peak < 1.1 * 38.1 * 2 ** 20
 
 CANON = ParallelogramAnnotation(Point(0, 3), Point(1, 1), Point(3, 0), Point(2, 2),
                                 a0_id=0, a1_id=0)
