@@ -70,6 +70,15 @@ def _require(cond: bool, msg: str):
         raise ParseError(msg)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; ``bool`` subclasses ``int`` in Python but is not one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_num(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def tree_to_json(doc: TreeDocument) -> dict:
     out: dict = {
         "format": TREE_FORMAT,
@@ -89,15 +98,14 @@ def tree_from_json(data: dict) -> TreeDocument:
     _require(isinstance(data, dict), "tree document must be a JSON object")
     _require(data.get("format") == TREE_FORMAT,
              f"unsupported tree format {data.get('format')!r}")
-    _require(isinstance(data.get("n"), int) and data["n"] >= 1,
+    _require(_is_int(data.get("n")) and data["n"] >= 1,
              "field 'n' must be a positive integer")
     n = data["n"]
     raw_edges = data.get("edges")
     _require(isinstance(raw_edges, list), "field 'edges' must be a list")
     edges = []
     for i, e in enumerate(raw_edges):
-        _require(isinstance(e, list) and len(e) == 2
-                 and all(isinstance(x, int) for x in e),
+        _require(isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)),
                  f"edge #{i} must be a pair of integers")
         _require(0 <= e[0] < n and 0 <= e[1] < n,
                  f"edge #{i} = {e} out of range for n={n}")
@@ -108,10 +116,10 @@ def tree_from_json(data: dict) -> TreeDocument:
         raise ParseError(f"edge list does not form a tree: {exc}") from exc
     root = data.get("root")
     if root is not None:
-        _require(isinstance(root, int) and 0 <= root < n, f"root {root!r} out of range")
+        _require(_is_int(root) and 0 <= root < n, f"root {root!r} out of range")
     sparse = data.get("sparse_leaves")
     if sparse is not None:
-        _require(isinstance(sparse, list) and all(isinstance(x, int) for x in sparse),
+        _require(isinstance(sparse, list) and all(map(_is_int, sparse)),
                  "field 'sparse_leaves' must be a list of integers")
         for x in sparse:
             _require(0 <= x < n, f"sparse leaf {x} out of range")
@@ -121,9 +129,15 @@ def tree_from_json(data: dict) -> TreeDocument:
         _require(isinstance(order, dict), "field 'children_order' must be an object")
         parsed = {}
         for k, v in order.items():
-            _require(isinstance(v, list) and all(isinstance(x, int) for x in v),
+            try:
+                u = int(k) if isinstance(k, str) or _is_int(k) else -1
+            except ValueError:
+                u = -1
+            _require(0 <= u < n, f"children_order key {k!r} is not a vertex id for n={n}")
+            _require(u not in parsed, f"children_order key {k!r} repeats vertex {u}")
+            _require(isinstance(v, list) and all(map(_is_int, v)),
                      f"children_order[{k}] must be a list of integers")
-            parsed[int(k)] = tuple(v)
+            parsed[u] = tuple(v)
         order = parsed
     return TreeDocument(tree, root, sparse, order)
 
@@ -163,12 +177,12 @@ def _parse_points(raw, name: str) -> Tuple[Point, ...]:
     pts: List[Optional[Point]] = [None] * len(raw)
     for i, item in enumerate(raw):
         _require(isinstance(item, dict), f"{name}[{i}] must be an object")
-        _require(isinstance(item.get("id"), int), f"{name}[{i}] needs an integer id")
+        _require(_is_int(item.get("id")), f"{name}[{i}] needs an integer id")
         vid = item["id"]
         _require(0 <= vid < len(raw), f"{name}[{i}] id {vid} out of range")
         _require(pts[vid] is None, f"duplicate id {vid} in {name}")
         for coord in ("x", "y"):
-            _require(isinstance(item.get(coord), (int, float)) and math.isfinite(item[coord]),
+            _require(_is_num(item.get(coord)) and math.isfinite(item[coord]),
                      f"{name}[{i}].{coord} must be a finite number")
         pts[vid] = Point(item["x"], item["y"])
     return tuple(pts)  # type: ignore[arg-type]
@@ -185,8 +199,7 @@ def drawing_from_json(data: dict) -> DrawingDocument:
         _require(isinstance(raw, list), f"field '{name}' must be a list")
         out = []
         for i, e in enumerate(raw):
-            _require(isinstance(e, list) and len(e) == 2
-                     and all(isinstance(x, int) for x in e),
+            _require(isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)),
                      f"{name}[{i}] must be a pair of integers")
             _require(0 <= e[0] < n and 0 <= e[1] < n,
                      f"{name}[{i}] = {e} references a missing vertex")
@@ -203,15 +216,14 @@ def drawing_from_json(data: dict) -> DrawingDocument:
     if "separating_line" in raw_ann:
         sl = raw_ann["separating_line"]
         _require(isinstance(sl, dict) and all(
-            isinstance(sl.get(k), (int, float)) for k in ("px", "py", "dx", "dy")),
+            _is_num(sl.get(k)) for k in ("px", "py", "dx", "dy")),
             "separating_line needs numeric px, py, dx, dy")
     if "parallelogram" in raw_ann:
         pg = raw_ann["parallelogram"]
         _require(isinstance(pg, dict), "parallelogram must be an object")
         for key in ("a0", "b0", "a1", "b1"):
             c = pg.get(key)
-            _require(isinstance(c, list) and len(c) == 2
-                     and all(isinstance(x, (int, float)) for x in c),
+            _require(isinstance(c, list) and len(c) == 2 and all(map(_is_num, c)),
                      f"parallelogram.{key} must be [x, y]")
         _require(isinstance(pg.get("ids") or {}, dict), "parallelogram.ids must be an object")
     if "trace" in raw_ann:

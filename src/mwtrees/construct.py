@@ -13,14 +13,13 @@ Four constructions are provided:
   set, same universal validity.
 
 All constructions are deterministic.  Each recursion level is assembled
-and gated once: the gate re-runs the brute-force verifier on the level's
-drawing and, on failure, raises DegenerateGeometry at once, naming the
-subtree vertex, the beta and the first violation, rather than return an
-invalid drawing.
+and gated once: the gate runs ``verify`` in strict mode at beta 1 and beta
+inf on the level's drawing and, on failure, raises DegenerateGeometry at
+once, naming the subtree vertex, the beta and the first violation, rather
+than return an invalid drawing.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from itertools import accumulate
@@ -197,28 +196,50 @@ def _min_pair_distance(points: Sequence[Point]) -> float:
     return min([math.inf] + list(map(math.hypot, dx[near].tolist(), dy[near].tolist())))
 
 
-def _translate_subset(d: DrawingPair, block0: Set[int], block1: Set[int],
-                      offset: Tuple[float, float]) -> DrawingPair:
-    ox, oy = offset
-    pts0 = tuple(Point(p.x + ox, p.y + oy) if i in block0 else p
-                 for i, p in enumerate(d.points0))
-    pts1 = tuple(Point(p.x + ox, p.y + oy) if i in block1 else p
-                 for i, p in enumerate(d.points1))
-    return replace(d, points0=pts0, points1=pts1)
-
-
-@functools.lru_cache(maxsize=1)
-def _gabriel_flags(points0, points1, edges0, edges1):
+def _gabriel_flags(X0: np.ndarray, X1: np.ndarray, edges0, edges1):
     """Closed Gabriel violations and strict verdicts of both sides' pairs, each
-    judged by the pair's deepest witness alone, plus the per-side verdicts.  Memoised:
-    a nudge's accepted candidate is the next gap's drawing; do not mutate results."""
+    judged by the pair's deepest witness alone, plus the per-side verdicts."""
     vs = [side_verdicts(own, other, 1.0, edges)
-          for own, other, edges in ((points0, points1, edges0), (points1, points0, edges1))]
+          for own, other, edges in ((X0, X1, edges0), (X1, X0, edges1))]
     is_edge, depth, scale = (np.concatenate([getattr(v, f) for v in vs])
                              for f in ("is_edge", "depth", "scale"))
     tol = TOL * scale
     bad = np.where(is_edge, depth >= -tol, depth < -tol)
     return bad, np.where(is_edge, -depth, depth) > tol, vs
+
+
+def _safe_offset(X0: np.ndarray, X1: np.ndarray, edges0, edges1,
+                 moving: Tuple[np.ndarray, np.ndarray], u: Point, flags=None):
+    """``compute_safe_perturbation`` on the coordinate arrays of both sides.
+
+    ``moving`` holds each side's row mask of the block and ``flags`` the
+    drawing's ``_gabriel_flags``, computed here when None.  Returns the
+    offset and the flags of the accepted candidate, which are those of the
+    drawing moved by ``(eps * u.x, eps * u.y)``; None if no candidate ran.
+    """
+    X = np.concatenate([X0, X1])
+    scale = _extent(X.tolist(), 1.0)
+    min_d = _min_pair_distance(X)
+    if min_d == 0.0:
+        raise DegenerateInput("drawing has coincident points")
+    base = min_d / 10.0
+    floor = 1e-12 * scale
+
+    orig_bad, strict, before = _gabriel_flags(X0, X1, edges0, edges1) if flags is None else flags
+    target = np.concatenate([v.is_edge & (m[v.iu] != m[v.jv]) for v, m in zip(before, moving)])
+    if not target.any() and not orig_bad.any():
+        return base, None
+    kept_strict = strict & ~orig_bad & ~target
+
+    eps = base
+    while eps >= floor:
+        step = (eps * u.x, eps * u.y)
+        now = _gabriel_flags(*(np.where(m[:, None], Y + step, Y)
+                               for Y, m in zip((X0, X1), moving)), edges0, edges1)
+        if not (now[0] & (~orig_bad | target)).any() and not (kept_strict & ~now[1]).any():
+            return eps, now
+        eps /= 2.0
+    raise NoSafeEps(f"no safe offset above {floor:g}")
 
 
 def compute_safe_perturbation(d: DrawingPair, block0: Set[int], block1: Set[int],
@@ -238,29 +259,9 @@ def compute_safe_perturbation(d: DrawingPair, block0: Set[int], block1: Set[int]
     bad = [(s, i) for s, b in ((0, b0), (1, b1)) for i in sorted(b) if not 0 <= i < len(d.side(s))]
     if bad:
         raise DegenerateInput(f"block ids outside their side, as (side, id): {bad}")
-    all_pts = list(d.points0) + list(d.points1)
-    scale = _extent(all_pts, 1.0)
-    min_d = _min_pair_distance(all_pts)
-    if min_d == 0.0:
-        raise DegenerateInput("drawing has coincident points")
-    base = min_d / 10.0
-    floor = 1e-12 * scale
-
-    orig_bad, strict, before = _gabriel_flags(d.points0, d.points1, d.edges0, d.edges1)
-    moving = [np.isin(np.arange(len(d.side(s))), list(b)) for s, b in ((0, b0), (1, b1))]
-    target = np.concatenate([v.is_edge & (m[v.iu] != m[v.jv]) for v, m in zip(before, moving)])
-    if not target.any() and not orig_bad.any():
-        return base
-    kept_strict = strict & ~orig_bad & ~target
-
-    eps = base
-    while eps >= floor:
-        m = _translate_subset(d, b0, b1, (eps * u.x, eps * u.y))
-        now_bad, now_strict, _ = _gabriel_flags(m.points0, m.points1, m.edges0, m.edges1)
-        if not (now_bad & (~orig_bad | target)).any() and not (kept_strict & ~now_strict).any():
-            return eps
-        eps /= 2.0
-    raise NoSafeEps(f"no safe offset above {floor:g}")
+    X0, X1 = (np.array(d.side(s), dtype=float) for s in (0, 1))
+    moving = tuple(np.isin(np.arange(len(X)), list(b)) for X, b in ((X0, b0), (X1, b1)))
+    return _safe_offset(X0, X1, d.edges0, d.edges1, moving, u)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +295,6 @@ def _draw_path_pair(tree) -> DrawingPair:
     trace = ConstructionTrace({"kind": "path", "north": 0.0, "south": -0.5})
     return DrawingPair(pts0, pts1, tree.edges, tree.edges,
                        separating_line=line, trace=trace)
-
-
-def _edge_strictly_clean(d: DrawingPair, side: int, pair: Tuple[int, int]) -> bool:
-    """True when no opposite point is within tolerance of the pair's Gabriel disk."""
-    own = d.side(side)
-    return not side_verdicts((own[pair[0]], own[pair[1]]), d.side(1 - side), 1.0).closed_hit[0]
 
 
 def draw_caterpillar_pair(cat: CaterpillarDecomposition) -> DrawingPair:
@@ -381,43 +376,32 @@ def draw_caterpillar_pair(cat: CaterpillarDecomposition) -> DrawingPair:
         else:
             taus.append(Point(prev.x + delta_ll, prev.y))
 
-    pos0: Dict[int, Point] = {}
-    pos1: Dict[int, Point] = {}
-    block_ids: List[Tuple[List[int], List[int]]] = []
+    # one row per vertex id, a block's rows as (spine vertex, *its leaves)
+    A0, A1 = np.empty((tree.n, 2)), np.empty((tree.n, 2))
+    blocks: List[List[int]] = []
     for j, sid in enumerate(cat.spine):
-        tau = taus[j]
+        rows = [sid, *cat.leaves[j]]
         loc0, loc1 = block_points(counts[j])
-        ids0 = [sid]
-        ids1 = [sid]
-        pos0[sid] = Point(loc0[0].x + tau.x, loc0[0].y + tau.y)
-        pos1[sid] = Point(loc1[0].x + tau.x, loc1[0].y + tau.y)
-        for rank, leaf in enumerate(cat.leaves[j]):
-            pos0[leaf] = Point(loc0[1 + rank].x + tau.x, loc0[1 + rank].y + tau.y)
-            pos1[leaf] = Point(loc1[1 + rank].x + tau.x, loc1[1 + rank].y + tau.y)
-            ids0.append(leaf)
-            ids1.append(leaf)
-        block_ids.append((ids0, ids1))
+        A0[rows] = np.add(loc0[:len(rows)], taus[j])
+        A1[rows] = np.add(loc1[:len(rows)], taus[j])
+        blocks.append(rows)
 
-    pts0 = tuple(pos0[v] for v in range(tree.n))
-    pts1 = tuple(pos1[v] for v in range(tree.n))
-    line = Line(Point(0.0, (north + south) / 2.0), Point(1.0, 0.0))
-    d = DrawingPair(pts0, pts1, tree.edges, tree.edges, separating_line=line)
-
+    # Nudge each suffix whose spine edge has a witness within tolerance of
+    # its disk.  The accepted candidate's flags are the next nudge's start.
     eps_values: List[float] = []
+    moving = np.zeros(tree.n, dtype=bool)
+    flags = None
     for gap in range(len(cat.spine) - 2, -1, -1):
-        pair = (min(cat.spine[gap], cat.spine[gap + 1]),
-                max(cat.spine[gap], cat.spine[gap + 1]))
-        if _edge_strictly_clean(d, 0, pair) and _edge_strictly_clean(d, 1, pair):
+        moving[blocks[gap + 1]] = True
+        pair = sorted(cat.spine[gap:gap + 2])
+        if not any(side_verdicts(X[pair], Y, 1.0).closed_hit[0] for X, Y in ((A0, A1), (A1, A0))):
             eps_values.append(0.0)
             continue
-        moving0: Set[int] = set()
-        moving1: Set[int] = set()
-        for ids0, ids1 in block_ids[gap + 1:]:
-            moving0.update(ids0)
-            moving1.update(ids1)
-        eps = compute_safe_perturbation(d, moving0, moving1, (-1.0, 0.0))
+        eps, flags = _safe_offset(A0, A1, tree.edges, tree.edges, (moving, moving),
+                                  Point(-1.0, 0.0), flags)
         eps_values.append(eps)
-        d = _translate_subset(d, moving0, moving1, (-eps, 0.0))
+        for A in (A0, A1):
+            A[moving] += (-eps, 0.0)
 
     trace = ConstructionTrace({
         "kind": "caterpillar",
@@ -427,7 +411,9 @@ def draw_caterpillar_pair(cat: CaterpillarDecomposition) -> DrawingPair:
         "offsets": [(t.x, t.y) for t in taus],
         "suffix_nudges": eps_values[::-1],
     })
-    d = replace(d, trace=trace)
+    line = Line(Point(0.0, (north + south) / 2.0), Point(1.0, 0.0))
+    d = DrawingPair(A0.tolist(), A1.tolist(), tree.edges, tree.edges,
+                    separating_line=line, trace=trace)
     report = verify(d, 1.0, "closed")
     if not report.ok:
         raise DegenerateGeometry(

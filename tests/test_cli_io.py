@@ -57,6 +57,31 @@ class TestTreeDocuments:
         with pytest.raises(ParseError):
             tree_from_json({"format": "tree/9", "n": 1, "edges": []})
 
+    @staticmethod
+    def path3_json(**fields):
+        return {"format": "tree/1", "n": 3, "edges": [[0, 1], [1, 2]], **fields}
+
+    @pytest.mark.parametrize("key", ["abc", "99", "3", "-1", "1.0", ""])
+    def test_children_order_key_not_a_vertex(self, key):
+        with pytest.raises(ParseError, match="children_order key") as err:
+            tree_from_json(self.path3_json(children_order={key: [2]}))
+        assert repr(key) in str(err.value)
+
+    def test_children_order_key_repeating_a_vertex(self):
+        with pytest.raises(ParseError, match="'01' repeats vertex 1"):
+            tree_from_json(self.path3_json(children_order={"1": [2], "01": [2]}))
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"n": True, "edges": []}, "field 'n'"),
+        ({"edges": [[0, 1], [True, 2]]}, "edge #1"),
+        ({"root": False}, "root False"),
+        ({"sparse_leaves": [True]}, "sparse_leaves"),
+        ({"children_order": {"1": [True]}}, r"children_order\[1\]"),
+    ])
+    def test_booleans_are_not_integers(self, fields, message):
+        with pytest.raises(ParseError, match=message):
+            tree_from_json(self.path3_json(**fields))
+
 
 class TestDrawingDocuments:
     def test_lossless_round_trip(self, tmp_path):
@@ -111,6 +136,29 @@ class TestDrawingDocuments:
         data = self.tree_drawing_json()
         data["annotations"]["parallelogram"]["b1"] = [float("nan"), 1.0]
         with pytest.raises(ParseError, match="non-finite"):
+            drawing_from_json(data)
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("points0", 0, "id"), False, r"points0\[0\] needs an integer id"),
+        (("points1", 1, "x"), True, r"points1\[1\].x must be a finite number"),
+        (("points0", 2, "y"), False, r"points0\[2\].y must be a finite number"),
+        (("edges1", 0, 1), True, r"edges1\[0\] must be a pair of integers"),
+        (("annotations", "parallelogram", "a1", 0), True, "parallelogram.a1"),
+    ])
+    def test_booleans_are_not_numbers(self, path, value, message):
+        data = self.tree_drawing_json()
+        item = data
+        for key in path[:-1]:
+            item = item[key]
+        item[path[-1]] = value
+        with pytest.raises(ParseError, match=message):
+            drawing_from_json(data)
+
+    def test_boolean_separating_line_rejected(self):
+        data = self.tree_drawing_json()
+        data.setdefault("annotations", {})["separating_line"] = {
+            "px": 0.0, "py": 0.5, "dx": True, "dy": 0.0}
+        with pytest.raises(ParseError, match="separating_line"):
             drawing_from_json(data)
 
     def test_zero_separating_direction(self):
@@ -211,6 +259,16 @@ class TestCli:
         assert cli_main([cmd[0], "-i", str(drawing)] + out_args + cmd[1:]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ParseError") and "b1_id 999" in err
+
+    @pytest.mark.parametrize("key", ["abc", "99"])
+    def test_children_order_bad_key_is_a_parse_error(self, tmp_path, capsys, key):
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps(TestTreeDocuments.path3_json(children_order={key: [2]})))
+        out = tmp_path / "drawing.json"
+        assert cli_main(["draw", "--mode", "tree", "-i", str(tree), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError") and repr(key) in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("gen, message", [
         (["--kind", "random", "--n", "5", "--max-depth", "0"], "max_depth"),

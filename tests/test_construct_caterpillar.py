@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import mwtrees.construct as construct
@@ -118,10 +119,34 @@ class TestProfiles:
             return real(own, other, beta, *args, **kwargs)
 
         monkeypatch.setattr(construct, "side_verdicts", counting)
-        construct._gabriel_flags.cache_clear()
         d = draw_caterpillar_pair(caterpillar_decompose(tree))
         assert d.points0 == tuple(pts0) and d.points1 == tuple(pts1)
         assert builds == [1.0] * 2 * (sum(e != 0.0 for e in nudges) + 1)
+
+    @pytest.mark.parametrize("profile", sorted(NUDGED_GOLDEN),
+                             ids=lambda p: "-".join(map(str, p)))
+    def test_public_nudge_replays_each_gap(self, profile, monkeypatch):
+        """The public wrapper, which starts from no verdicts, returns each
+        nudged gap's offset bit for bit on that gap's drawing and block."""
+        nudges, pts0, pts1 = NUDGED_GOLDEN[profile]
+        tree = gen_random_caterpillar(len(profile), list(profile), 7)
+        gaps = []
+        real = construct._safe_offset
+
+        def recording(X0, X1, edges0, edges1, moving, *args):
+            gap = (X0.tolist(), X1.tolist(), [np.flatnonzero(m).tolist() for m in moving])
+            eps, flags = real(X0, X1, edges0, edges1, moving, *args)
+            gaps.append((*gap, eps))
+            return eps, flags
+
+        monkeypatch.setattr(construct, "_safe_offset", recording)
+        d = draw_caterpillar_pair(caterpillar_decompose(tree))
+        monkeypatch.undo()
+        assert d.trace.data["suffix_nudges"] == nudges
+        assert [eps for *_, eps in gaps] == [e for e in reversed(nudges) if e != 0.0]
+        for X0, X1, (block0, block1), eps in gaps:
+            gap = DrawingPair(X0, X1, tree.edges, tree.edges)
+            assert compute_safe_perturbation(gap, set(block0), set(block1)).hex() == eps.hex()
 
     def test_random_sweep(self):
         rng = random.Random(77)
@@ -204,6 +229,17 @@ class TestSafePerturbation:
         d = draw_star_pair(2).drawing  # four vertices a side
         with pytest.raises(DegenerateInput, match="block ids"):
             compute_safe_perturbation(d, block0, block1)
+
+    @pytest.mark.parametrize("pts0, pts1", [
+        ((Point(0, 0), Point(0, 0), Point(2, 0)), (Point(1, -1),)),  # same side
+        ((Point(0, 0), Point(2, 0)), (Point(2, 0),)),  # across the sides
+    ])
+    def test_coincident_points_rejected(self, pts0, pts1):
+        d = DrawingPair(pts0, pts1, ((0, len(pts0) - 1),), ())
+        with pytest.raises(DegenerateInput, match="drawing has coincident points"):
+            compute_safe_perturbation(d, {len(pts0) - 1}, set())
+        with pytest.raises(DegenerateInput, match="block ids"):  # checked first
+            compute_safe_perturbation(d, {len(pts0)}, set())
 
     def test_adversarially_blocked_edge(self):
         # the witness sits deep inside the target edge's disk; no small move
