@@ -432,6 +432,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER = _build_parser()
+
+
 def _cmd_gen(args) -> int:
     if args.kind == "random":
         tree = gen_random_tree(args.n, args.seed, args.max_depth)
@@ -466,6 +469,8 @@ def _cmd_draw(args) -> int:
             dec = caterpillar_decompose(doc.tree)
             if len(dec.spine) != 1:
                 raise ParseError("star mode needs a tree whose spine is a single vertex")
+            if not dec.leaves[0]:
+                raise ParseError("star mode needs a tree with at least one leaf")
             drawing = construct.draw_star_pair(len(dec.leaves[0]) - 1).drawing
     elif args.mode == "caterpillar":
         dec = caterpillar_decompose(doc.tree)
@@ -543,9 +548,8 @@ def _cmd_svg(args) -> int:
 
 
 def cli_main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     commands = {"gen": _cmd_gen, "draw": _cmd_draw, "verify": _cmd_verify,

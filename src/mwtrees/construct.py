@@ -58,6 +58,7 @@ from .proximity import (
     ConstructionTrace,
     DrawingPair,
     ParallelogramAnnotation,
+    _violated,
     side_verdicts,
     strip_ratio,
     verify,
@@ -197,15 +198,12 @@ def _min_pair_distance(points: Sequence[Point]) -> float:
 
 
 def _gabriel_flags(X0: np.ndarray, X1: np.ndarray, edges0, edges1):
-    """Closed Gabriel violations and strict verdicts of both sides' pairs, each
-    judged by the pair's deepest witness alone, plus the per-side verdicts."""
+    """``verify``'s closed violations and strict verdicts at beta 1 of both sides'
+    pairs, concatenated, plus the per-side verdicts."""
     vs = [side_verdicts(own, other, 1.0, edges)
           for own, other, edges in ((X0, X1, edges0), (X1, X0, edges1))]
-    is_edge, depth, scale = (np.concatenate([getattr(v, f) for v in vs])
-                             for f in ("is_edge", "depth", "scale"))
-    tol = TOL * scale
-    bad = np.where(is_edge, depth >= -tol, depth < -tol)
-    return bad, np.where(is_edge, -depth, depth) > tol, vs
+    return (np.concatenate([_violated(v, "closed") for v in vs]),
+            ~np.concatenate([_violated(v, "strict") for v in vs]), vs)
 
 
 def _safe_offset(X0: np.ndarray, X1: np.ndarray, edges0, edges1,
@@ -215,7 +213,8 @@ def _safe_offset(X0: np.ndarray, X1: np.ndarray, edges0, edges1,
     ``moving`` holds each side's row mask of the block and ``flags`` the
     drawing's ``_gabriel_flags``, computed here when None.  Returns the
     offset and the flags of the accepted candidate, which are those of the
-    drawing moved by ``(eps * u.x, eps * u.y)``; None if no candidate ran.
+    drawing moved by ``(eps * u.x, eps * u.y)``, or the starting flags if no
+    candidate ran.
     """
     X = np.concatenate([X0, X1])
     scale = _extent(X.tolist(), 1.0)
@@ -225,10 +224,12 @@ def _safe_offset(X0: np.ndarray, X1: np.ndarray, edges0, edges1,
     base = min_d / 10.0
     floor = 1e-12 * scale
 
-    orig_bad, strict, before = _gabriel_flags(X0, X1, edges0, edges1) if flags is None else flags
+    if flags is None:
+        flags = _gabriel_flags(X0, X1, edges0, edges1)
+    orig_bad, strict, before = flags
     target = np.concatenate([v.is_edge & (m[v.iu] != m[v.jv]) for v, m in zip(before, moving)])
     if not target.any() and not orig_bad.any():
-        return base, None
+        return base, flags
     kept_strict = strict & ~orig_bad & ~target
 
     eps = base
@@ -250,8 +251,8 @@ def compute_safe_perturbation(d: DrawingPair, block0: Set[int], block1: Set[int]
     block.  A candidate offset is accepted when, after the move, every
     target edge is strictly witness-free in its closed Gabriel region, no
     new closed-mode violation appears, and every previously strict verdict
-    keeps a margin above tolerance.  Verdicts are those of each pair's
-    deepest witness, with tolerance ``TOL`` times that witness's scale.
+    keeps a margin above tolerance.  Verdicts are ``verify``'s at beta 1:
+    any witness within ``TOL`` times its own scale of a region counts.
     Block ids must be vertices of their side.
     """
     u = unit(direction)
@@ -268,22 +269,11 @@ def compute_safe_perturbation(d: DrawingPair, block0: Set[int], block1: Set[int]
 # caterpillars
 # ---------------------------------------------------------------------------
 
-def _path_order(tree) -> List[int]:
-    if tree.n == 1:
-        return [0]
-    ends = [v for v in range(tree.n) if tree.degree(v) == 1]
-    start = min(ends)
-    order = [start]
-    prev, cur = None, start
-    while len(order) < tree.n:
-        nxt = [w for w in tree.adj[cur] if w != prev]
-        prev, cur = cur, nxt[0]
-        order.append(cur)
-    return order
-
-
-def _draw_path_pair(tree) -> DrawingPair:
-    order = _path_order(tree)
+def _draw_path_pair(cat: CaterpillarDecomposition) -> DrawingPair:
+    tree = cat.tree
+    order = [*cat.leaves[0][:1], *cat.spine, *cat.leaves[-1][-1:]]
+    if order[-1] < order[0]:
+        order.reverse()
     pos0 = {}
     pos1 = {}
     for i, v in enumerate(order):
@@ -311,9 +301,9 @@ def draw_caterpillar_pair(cat: CaterpillarDecomposition) -> DrawingPair:
     A final right-to-left nudge of each suffix realizes the spine edges
     whose witnesses sit exactly on their disk boundaries.
     """
-    tree = cat.tree
     if cat.is_path:
-        return _draw_path_pair(tree)
+        return _draw_path_pair(cat)
+    tree = cat.tree
 
     counts = [len(l) for l in cat.leaves]
     h = max(range(len(counts)), key=lambda j: (counts[j], -j))
@@ -387,14 +377,17 @@ def draw_caterpillar_pair(cat: CaterpillarDecomposition) -> DrawingPair:
         blocks.append(rows)
 
     # Nudge each suffix whose spine edge has a witness within tolerance of
-    # its disk.  The accepted candidate's flags are the next nudge's start.
+    # its disk.  The flags always hold the current drawing's verdicts: the
+    # accepted candidate's are the next gap's start.
     eps_values: List[float] = []
     moving = np.zeros(tree.n, dtype=bool)
-    flags = None
-    for gap in range(len(cat.spine) - 2, -1, -1):
+    gaps = range(len(cat.spine) - 2, -1, -1)
+    flags = _gabriel_flags(A0, A1, tree.edges, tree.edges) if gaps else None
+    for gap in gaps:
         moving[blocks[gap + 1]] = True
-        pair = sorted(cat.spine[gap:gap + 2])
-        if not any(side_verdicts(X[pair], Y, 1.0).closed_hit[0] for X, Y in ((A0, A1), (A1, A0))):
+        a, b = sorted(cat.spine[gap:gap + 2])
+        row = a * (2 * tree.n - a - 1) // 2 + b - a - 1  # (a, b) in _side_pairs' order
+        if not any(v.closed_hit[row] for v in flags[2]):
             eps_values.append(0.0)
             continue
         eps, flags = _safe_offset(A0, A1, tree.edges, tree.edges, (moving, moving),

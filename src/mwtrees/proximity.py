@@ -256,14 +256,21 @@ def _side_beta(pairs, beta: float, tol: float) -> SideVerdicts:
 
 
 def side_verdicts(own: Sequence[Point], other: Sequence[Point], beta: float,
-                  edges: Sequence[Tuple[int, int]] = (), margin: float = TOL
-                  ) -> SideVerdicts:
+                  edges: Sequence[Tuple[int, int]] = ()) -> SideVerdicts:
     """Verdicts of every pair of ``own`` against the witnesses ``other``.
 
-    The tolerance is ``max(TOL, margin)`` times each witness's local scale.  Pairs
-    not settled get full margin rows, in tables of ``_CHUNK`` cells (or one row).
+    The tolerance is ``TOL`` times each witness's local scale.  Pairs not
+    settled get full margin rows, in tables of ``_CHUNK`` cells (or one row).
     """
-    return _side_beta(_side_pairs(own, other, edges), beta, max(TOL, margin))
+    return _side_beta(_side_pairs(own, other, edges), beta, TOL)
+
+
+def _violated(v: SideVerdicts, mode: str) -> np.ndarray:
+    """Pairs that break the witness rule in ``mode``: an edge with a witness in its
+    region (open in ``open`` mode, else closed), a non-edge with none (closed in
+    ``closed`` mode, else open)."""
+    return np.where(v.is_edge, v.open_hit if mode == "open" else v.closed_hit,
+                    ~(v.closed_hit if mode == "closed" else v.open_hit))
 
 
 def _check_distinct(points: Sequence[Point], side: str):
@@ -325,14 +332,12 @@ def _report(sides, beta: float, mode: str, margin: float) -> VerificationReport:
     borderline: List[Tuple[int, Tuple[int, int], float]] = []
     for side, pairs in enumerate(sides):
         v = _side_beta(pairs, beta, max(TOL, margin))
-        forbidden = v.is_edge & (v.open_hit if mode == "open" else v.closed_hit)
-        missing = ~v.is_edge & ~(v.closed_hit if mode == "closed" else v.open_hit)
         near = np.abs(v.depth) <= max(TOL, margin) * v.scale
         for idx in np.flatnonzero(near).tolist():
             borderline.append((side, (int(v.iu[idx]), int(v.jv[idx])), float(v.depth[idx])))
-        for idx in np.flatnonzero(forbidden | missing).tolist():
+        for idx in np.flatnonzero(_violated(v, mode)).tolist():
             pair = (int(v.iu[idx]), int(v.jv[idx]))
-            if forbidden[idx]:
+            if v.is_edge[idx]:
                 violations.append(Violation(side, pair, "ForbiddenWitness",
                                             int(v.witness[idx]), float(v.depth[idx])))
             else:

@@ -188,21 +188,16 @@ class SparseLeafSet:
 # rooted isomorphism via canonical codes
 # ---------------------------------------------------------------------------
 
-def _ahu_codes(rt: RootedTree, table: Optional[Dict[tuple, int]] = None) -> list:
-    """Code of every vertex's subtree, by vertex id: the sorted codes of its
-    children or, given a ``table``, that tuple's number in it.  Trees sharing
-    a table get equal numbers exactly for isomorphic subtrees, and numbers
+def _ahu_codes(rt: RootedTree, table: Dict[tuple, int]) -> List[int]:
+    """Class number of every vertex's subtree, by vertex id: the number in
+    ``table`` of the sorted tuple of its children's numbers.  Trees sharing a
+    table get equal numbers exactly for isomorphic subtrees, and numbers
     compare in one step however deep the trees are."""
-    codes: list = [None] * rt.tree.n
+    codes: List[int] = [0] * rt.tree.n
     for u in reversed(rt.subtree_vertices(rt.root)):  # children first
         kids = tuple(sorted(codes[c] for c in rt.children[u]))
-        codes[u] = kids if table is None else table.setdefault(kids, len(table))
+        codes[u] = table.setdefault(kids, len(table))
     return codes
-
-
-def rooted_code(rt: RootedTree) -> tuple:
-    """Canonical code of a rooted tree; equal codes mean isomorphic."""
-    return _ahu_codes(rt)[rt.root]
 
 
 def _match_rooted(rt0: RootedTree, cls0: List[int], rt1: RootedTree,

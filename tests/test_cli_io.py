@@ -249,6 +249,30 @@ class TestCli:
     def test_usage_error(self):
         assert cli_main(["draw"]) == 2
 
+    def test_parser_survives_usage_error_and_help(self, tmp_path, capsys):
+        assert cli_main(["gen", "--kind", "nope", "-o", "x.json"]) == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+        assert cli_main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: mwtrees")
+        out = tmp_path / "tree.json"
+        assert cli_main(["gen", "--kind", "caterpillar", "--n", "6", "--seed", "2",
+                         "-o", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert load_tree(str(out)).tree.n == 6
+
+    @pytest.mark.parametrize("tree, message", [
+        (Tree(1, ()), "star mode needs a tree with at least one leaf"),
+        (Tree(4, ((0, 1), (1, 2), (2, 3))),
+         "star mode needs a tree whose spine is a single vertex"),
+    ])
+    def test_star_mode_rejects_non_stars(self, tmp_path, capsys, tree, message):
+        save_tree(TreeDocument(tree), str(tmp_path / "t.json"))
+        out = tmp_path / "d.json"
+        assert cli_main(["draw", "--mode", "star", "-i", str(tmp_path / "t.json"),
+                         "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: ParseError: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("cmd", [["verify", "--beta", "1"], ["svg", "--parallelogram"]])
     def test_corner_id_outside_its_side_is_a_parse_error(self, tmp_path, capsys, cmd):
         data = TestDrawingDocuments.tree_drawing_json()

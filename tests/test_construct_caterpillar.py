@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -240,6 +241,24 @@ class TestSafePerturbation:
             compute_safe_perturbation(d, {len(pts0) - 1}, set())
         with pytest.raises(DegenerateInput, match="block ids"):  # checked first
             compute_safe_perturbation(d, {len(pts0)}, set())
+
+    def test_rejected_first_candidate_hands_on_its_own_verdicts(self):
+        # found by a seeded random search: the first candidate, min_d / 10,
+        # is rejected, so the halving loop runs, and the accepted candidate's
+        # verdicts differ from the starting ones
+        X0 = np.array([(0.0, 0.0), (-1.0, 0.0), (-1.0, 0.5)])
+        X1 = np.array([(-0.5, -0.5), (2.0, -2.0)])
+        edges0, edges1 = ((0, 2), (1, 2)), ()
+        moving = (np.array([False, False, True]), np.array([True, False]))
+        base = construct._min_pair_distance(np.concatenate([X0, X1])) / 10.0
+        eps, flags = construct._safe_offset(X0, X1, edges0, edges1, moving, Point(-1.0, 0.0))
+        assert 0.0 < eps < base
+        moved = [np.where(m[:, None], X + (-eps, 0.0), X) for X, m in zip((X0, X1), moving)]
+        want = construct._gabriel_flags(*moved, edges0, edges1)
+        assert np.array_equal(flags[0], want[0]) and np.array_equal(flags[1], want[1])
+        for got, ref in zip(flags[2], want[2]):
+            for f in dataclasses.fields(got):
+                assert np.array_equal(getattr(got, f.name), getattr(ref, f.name)), f.name
 
     def test_adversarially_blocked_edge(self):
         # the witness sits deep inside the target edge's disk; no small move

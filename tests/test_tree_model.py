@@ -20,7 +20,6 @@ from mwtrees.tree_model import (
     is_sparse,
     isomorphism_map,
     reorder_children_for_pruning,
-    rooted_code,
     rooted_isomorphism,
     subtree_type,
 )
@@ -79,14 +78,16 @@ class TestIsomorphism:
         with pytest.raises(NotIsomorphic):
             rooted_isomorphism(rt_end, rt_mid)
 
-    def test_rooted_code_is_shape_invariant(self):
+    def test_rooted_isomorphism_is_shape_invariant(self):
         t0 = gen_random_tree(15, 1)
         rt0 = RootedTree.from_tree(t0, 0)
         perm = list(range(15))
         random.Random(2).shuffle(perm)
         t1 = Tree(15, tuple((perm[u], perm[v]) for u, v in t0.edges))
         rt1 = RootedTree.from_tree(t1, perm[0])
-        assert rooted_code(rt0) == rooted_code(rt1)
+        mapping = rooted_isomorphism(rt0, rt1)
+        assert mapping[0] == perm[0]
+        assert {tuple(sorted((mapping[u], mapping[v]))) for u, v in t0.edges} == set(t1.edges)
 
 
 def deep_path():
@@ -218,7 +219,7 @@ class TestReorder:
     def test_preserves_subtree_shapes(self):
         rt, leaf_set = gen_corollary_family(3)
         out = reorder_children_for_pruning(rt, leaf_set)
-        assert rooted_code(out) == rooted_code(rt)
+        assert rooted_isomorphism(out, rt)[out.root] == rt.root
         for v in range(rt.tree.n):
             assert sorted(out.children[v]) == sorted(rt.children[v])
 
