@@ -16,7 +16,7 @@ from .errors import DegenerateInput, MissingAnnotation
 from .geometry import TOL, BETA_INF, Line, Point, _extent
 
 DEFAULT_BETAS: Tuple[float, ...] = (1.0, 1.5, 2.0, 5.0, 10.0, BETA_INF)
-_CHUNK = 1 << 20  # cells in one chunk of a (pairs x witnesses) table
+_CHUNK = 1 << 16  # cells in one chunk of a (betas x pairs x witnesses) table: L2-sized
 _SETTLE_CELLS = 1 << 12  # up to here, one full table costs less than the candidates
 
 
@@ -136,8 +136,8 @@ class ParallelogramDrawingCheck:
 # ---------------------------------------------------------------------------
 
 def _sq_table(W: np.ndarray, C: np.ndarray) -> np.ndarray:
-    dx = W[..., 0] - C[:, 0, None]
-    dy = W[..., 1] - C[:, 1, None]
+    dx = W[..., 0] - C[..., 0, None]
+    dy = W[..., 1] - C[..., 1, None]
     dx *= dx
     dx += np.multiply(dy, dy, out=dy)
     return dx
@@ -150,27 +150,39 @@ def _dist_table(W: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 
 def _margins(P: np.ndarray, Q: np.ndarray, W: np.ndarray,
-             beta: float) -> Tuple[np.ndarray, np.ndarray]:
-    """``pair_witness_margins``, also for one witness per pair: ``W`` of shape ``(m, 1, 2)``."""
-    if not beta >= 1.0:
-        raise DegenerateInput(f"beta must lie in [1, inf], got {beta!r}")
+             betas: Tuple) -> Tuple[np.ndarray, np.ndarray]:
+    """``pair_witness_margins`` at each of ``betas``, also for one witness per pair: ``W`` of
+    shape ``(m, 1, 2)``.  The finite betas are one broadcast ``(betas, m, k)`` evaluation whose
+    floats are the one-beta ones; beta=inf and the scale are evaluated once."""
+    for beta in betas:
+        if not beta >= 1.0:
+            raise DegenerateInput(f"beta must lie in [1, inf], got {beta!r}")
     d = _dist_table(Q[:, None], P)  # (m, 1): |Q[m] - P[m]|
     if np.any(d == 0.0):
         raise DegenerateInput("beta region undefined for coincident points")
     scale = np.maximum(d, np.maximum(_dist_table(W, P), _dist_table(W, Q)))
-    if beta == BETA_INF:
+    halves = [float(b) / 2.0 for b in betas if b != BETA_INF]
+    parts = []
+    if halves:  # one beta takes Python floats, numpy's cheapest broadcast
+        half, lo = ((halves[0], 1.0 - halves[0]) if len(halves) == 1 else
+                    (np.array(halves)[:, None, None], 1.0 - np.array(halves)[:, None, None]))
+        r = half * d
+        m1 = r - _dist_table(W, lo * P + half * Q)
+        if max(halves) > 0.5:  # at beta 1 the second disk is the first, bit for bit
+            np.minimum(m1, r - _dist_table(W, half * P + lo * Q), out=m1)
+        parts.append(m1.reshape((len(halves),) + scale.shape))
+    if len(halves) < len(betas):
         u = (Q - P) / d
         # ``+ 0.0`` as in a zero-started sum: an exact-zero projection is 0.0, not -0.0
         proj = (W[..., 0] - P[:, 0, None]) * u[:, 0, None] + 0.0
         proj += (W[..., 1] - P[:, 1, None]) * u[:, 1, None]
-        return np.minimum(proj, d - proj), scale
-    half = float(beta) / 2.0
-    r = half * d
-    m1 = r - _dist_table(W, (1.0 - half) * P + half * Q)
-    if half == 0.5:  # beta 1: the second disk is the first, bit for bit
-        return m1, scale
-    m2 = r - _dist_table(W, half * P + (1.0 - half) * Q)
-    return np.minimum(m1, m2, out=m1), scale
+        parts.append(np.minimum(proj, d - proj, out=proj)[None])
+    marg = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if len(betas) > 1:  # finite first, then beta=inf: back to list order
+        rank = iter(range(len(halves)))
+        order = [next(rank) if b != BETA_INF else len(halves) for b in betas]
+        marg = marg if order == list(range(len(marg))) else marg[order]
+    return marg, scale
 
 
 def pair_witness_margins(P: np.ndarray, Q: np.ndarray, W: np.ndarray,
@@ -180,8 +192,13 @@ def pair_witness_margins(P: np.ndarray, Q: np.ndarray, W: np.ndarray,
     ``P``/``Q`` are ``(m, 2)`` pair endpoints, ``W`` is ``(k, 2)``.  Returns ``(margin,
     scale)`` of shape ``(m, k)``; positive margin means the witness is inside the
     open region by that Euclidean depth.  Every temporary is an ``(m, k)`` table.
+    ``beta`` may also be a tuple of betas: ``margin`` is then ``(len(beta), m, k)``, from
+    one pass whose floats are those of each beta alone.
     """
-    return _margins(P, Q, W, beta)
+    if isinstance(beta, tuple):
+        return _margins(P, Q, W, beta)
+    marg, scale = _margins(P, Q, W, (beta,))
+    return marg[0], scale
 
 
 @dataclass(frozen=True)
@@ -195,7 +212,8 @@ class SideVerdicts:
     is *settled* when its candidate, the opposite point nearest its midpoint,
     has margin above ``max(TOL, margin) * S``, ``S = 2 * max(bbox width, bbox
     height)`` of both sides.  No scale exceeds ``S``, so both its hits are
-    true; its ``witness``/``depth``/``scale`` describe the candidate.
+    true; its ``witness``/``depth``/``scale`` describe the candidate.  The pairs
+    ``verify_universal`` judges at several betas at once get full rows only.
     """
 
     iu: np.ndarray
@@ -208,21 +226,16 @@ class SideVerdicts:
     scale: np.ndarray
 
 
-def _full_rows(P: np.ndarray, Q: np.ndarray, W: np.ndarray, beta: float, tol: float):
-    """Closed and open hits, deepest witness, its margin and its scale per pair."""
-    marg, scale = pair_witness_margins(P, Q, W, beta)
-    t = tol * scale
-    r, best = np.arange(len(marg)), np.argmax(marg, axis=1)
-    return ((marg >= -t).any(axis=1), (marg > t).any(axis=1), best, marg[r, best], scale[r, best])
-
-
 def _side_pairs(own: Sequence[Point], other: Sequence[Point], edges: Sequence[Tuple[int, int]]):
     """The beta-independent part of ``side_verdicts``: pairs, endpoints, witnesses and
     edge mask, and above ``_SETTLE_CELLS`` cells each pair's candidate and ``S``."""
-    n = len(own)
+    A = np.asarray(own, dtype=float).reshape(-1, 2)
+    B = np.asarray(other, dtype=float).reshape(-1, 2)
+    if not len(B):
+        raise DegenerateInput("both sides need at least one point")
+    n = len(A)
     r = np.arange(n)
     iu, jv = np.nonzero(r[:, None] < r)  # np.triu_indices(n, k=1), with less overhead
-    A, B = (np.asarray(pts, dtype=float) for pts in (own, other))
     P, Q = A[iu], A[jv]
     e = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
     adj = np.zeros((n, n), dtype=bool)
@@ -238,20 +251,45 @@ def _side_pairs(own: Sequence[Point], other: Sequence[Point], edges: Sequence[Tu
     return iu, jv, P, Q, B, adj[iu, jv], cand, S if 2.0 ** -1022 <= S * S < math.inf else math.inf
 
 
+def _full_rows(P: np.ndarray, Q: np.ndarray, W: np.ndarray, betas: Tuple, tol: float):
+    """Closed and open hits, deepest witness, its margin and its scale per beta and pair."""
+    marg, scale = pair_witness_margins(P, Q, W, betas)
+    t, best, r = tol * scale, marg.argmax(axis=2), np.arange(len(P))
+    return ((marg >= -t).any(axis=2), (marg > t).any(axis=2), best,
+            marg[np.arange(len(betas))[:, None], r, best], scale[r, best])
+
+
+def _chunked_rows(P: np.ndarray, Q: np.ndarray, W: np.ndarray, betas: Tuple, tol: float):
+    """``_full_rows`` in ``(betas, pairs, witnesses)`` chunks of ``_CHUNK`` cells (or one
+    row), and in one chunk at least, so that a side without pairs still checks its betas."""
+    step = max(1, _CHUNK // (len(betas) * len(W)))
+    rows = [_full_rows(P[i:i + step], Q[i:i + step], W, betas, tol)
+            for i in range(0, max(len(P), 1), step)]
+    return rows[0] if len(rows) == 1 else [np.concatenate(f, axis=1) for f in zip(*rows)]
+
+
+def _side_betas(pairs, betas: Tuple, tol: float) -> List[SideVerdicts]:
+    """``side_verdicts`` at each of ``betas`` from the ``_side_pairs`` of one side, every
+    pair by its full row (no candidates), all betas from one kernel pass."""
+    iu, jv, P, Q, B, is_edge = pairs[:6]
+    return [SideVerdicts(iu, jv, is_edge, *v) for v in zip(*_chunked_rows(P, Q, B, betas, tol))]
+
+
 def _side_beta(pairs, beta: float, tol: float) -> SideVerdicts:
-    """``side_verdicts`` at ``beta`` from the ``_side_pairs`` of one side."""
+    """``side_verdicts`` at ``beta`` from the ``_side_pairs`` of one side, or the verdicts that
+    ``verify_universal`` judged there in its ``_side_betas`` pass and hands on as a ninth item."""
+    if len(pairs) > 8:
+        return pairs[8]
     iu, jv, P, Q, B, is_edge, cand, S = pairs
     if cand is None:
-        return SideVerdicts(iu, jv, is_edge, *_full_rows(P, Q, B, beta, tol))
-    depth, scale = (t[:, 0] for t in _margins(P, Q, B[cand][:, None], beta))
+        return _side_betas(pairs, (beta,), tol)[0]
+    marg, scale = _margins(P, Q, B[cand][:, None], (beta,))
+    depth, scale = marg[0, :, 0], scale[:, 0]
     open_hit = ~is_edge & (depth > tol * S)
     closed_hit, witness = open_hit.copy(), cand.copy()
     rest = np.flatnonzero(~open_hit)
-    step = max(1, _CHUNK // len(B))
-    for i in range(0, len(rest), step):
-        rows = rest[i:i + step]
-        (closed_hit[rows], open_hit[rows], witness[rows], depth[rows],
-         scale[rows]) = _full_rows(P[rows], Q[rows], B, beta, tol)
+    (closed_hit[rest], open_hit[rest], witness[rest], depth[rest], scale[rest]) = (
+        f[0] for f in _chunked_rows(P[rest], Q[rest], B, (beta,), tol))
     return SideVerdicts(iu, jv, is_edge, closed_hit, open_hit, witness, depth, scale)
 
 
@@ -261,6 +299,7 @@ def side_verdicts(own: Sequence[Point], other: Sequence[Point], beta: float,
 
     The tolerance is ``TOL`` times each witness's local scale.  Pairs not
     settled get full margin rows, in tables of ``_CHUNK`` cells (or one row).
+    ``own`` may have fewer than two points; ``other`` needs one.
     """
     return _side_beta(_side_pairs(own, other, edges), beta, TOL)
 
@@ -323,7 +362,8 @@ def verify(d: DrawingPair, beta: float, mode: str = "strict",
 
 
 def _drawing_sides(d: DrawingPair):
-    return [_side_pairs(d.side(side), d.side(1 - side), d.edges(side)) for side in (0, 1)]
+    X = [np.asarray(d.side(side), dtype=float) for side in (0, 1)]
+    return [_side_pairs(X[side], X[1 - side], d.edges(side)) for side in (0, 1)]
 
 
 def _report(sides, beta: float, mode: str, margin: float) -> VerificationReport:
@@ -347,10 +387,11 @@ def _report(sides, beta: float, mode: str, margin: float) -> VerificationReport:
 
 
 def _undecided(d: DrawingPair, sides: list, betas: Tuple) -> list:
-    """``sides`` less the rows whose verdict beta=1 and beta=inf fix at all ``betas``."""
+    """``sides`` of ``d`` less the rows whose verdict beta=1 and beta=inf fix at all ``betas``;
+    the kept rows drop their candidates, for full rows at every beta."""
     if not (betas and all(b >= 1.0 for b in betas)):
         return sides
-    X = np.asarray(d.points0 + d.points1, dtype=float)
+    X = np.concatenate((sides[1][4], sides[0][4]))  # each side's witnesses: d's points
     M, S = float(np.abs(X).max()), 2.0 * float(np.ptp(X, axis=0).max())
     bmax = max([1.0] + [float(b) for b in betas if b != BETA_INF])
     if not (2.0 ** -1022 <= S * S < math.inf and 8.0 * bmax * M < 2.0 ** 511):
@@ -363,7 +404,7 @@ def _undecided(d: DrawingPair, sides: list, betas: Tuple) -> list:
     for s, (iu, jv, P, Q, B, is_edge, cand, S_) in enumerate(sides):
         ne, ed, keep = np.flatnonzero(~is_edge), np.flatnonzero(is_edge), is_edge.copy()
         m1 = (pair_witness_margins(P[ne], Q[ne], B, 1.0)[0].max(axis=1) if cand is None
-              else _margins(P[ne], Q[ne], B[cand[ne]][:, None], 1.0)[0][:, 0])
+              else _margins(P[ne], Q[ne], B[cand[ne]][:, None], (1.0,))[0][0, :, 0])
         keep[ne] = ~(m1 - TOL * S > slack)  # a non-edge clear at beta=1; NaN stays
         step = max(1, _CHUNK // len(B))
         for rows in (ed[i:i + step] for i in range(0, len(ed), step)):
@@ -371,17 +412,23 @@ def _undecided(d: DrawingPair, sides: list, betas: Tuple) -> list:
             marg += np.multiply(scale, TOL, out=scale)
             keep[rows] = ~(marg.max(axis=1) < -slack)  # an edge clear at beta=inf
             del marg, scale  # before the next chunk's tables
-        sides[s] = (iu[keep], jv[keep], P[keep], Q[keep], B, is_edge[keep],
-                    None if cand is None else cand[keep], S_)
+        sides[s] = (iu[keep], jv[keep], P[keep], Q[keep], B, is_edge[keep], None, S_)
     return sides
 
 
 def verify_universal(d: DrawingPair, betas: Optional[Sequence[float]] = None
                      ) -> List[VerificationReport]:
-    """Strict-mode ``verify`` at each sampled beta (default sample), sharing work across betas."""
+    """Strict-mode ``verify`` at each listed beta (default sample), bit for bit.  Each side
+    drops the pairs beta=1 and beta=inf decide for every beta, and judges the rest with full
+    rows at every beta in one ``_side_betas`` pass; each report is built from its slice."""
     betas = tuple(DEFAULT_BETAS if betas is None else betas)
-    sides = _undecided(d, _drawing_sides(d), betas)
-    return [_report(sides, b, "strict", TOL) for b in betas]
+    sides = _drawing_sides(d)
+    if not (betas and all(b >= 1.0 for b in betas)):  # [], or verify's error at the first beta
+        return [_report(sides, b, "strict", TOL) for b in betas]
+    sides = _undecided(d, sides, betas)
+    judged = zip(*(_side_betas(pairs, betas, TOL) for pairs in sides))
+    return [_report([pairs + (v,) for pairs, v in zip(sides, vs)], b, "strict", TOL)
+            for b, vs in zip(betas, judged)]
 
 
 # ---------------------------------------------------------------------------

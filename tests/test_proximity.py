@@ -266,6 +266,21 @@ class TestMarginKernel:
         assert zeros > 0
 
 
+    @pytest.mark.parametrize("betas", [(BETA_INF, 2.0, 1.0, 2.0, 1.5), (1.0, 1.0),
+                                       (BETA_INF, BETA_INF), (10.0, 1.0, BETA_INF, 1.7)])
+    def test_beta_tuple_stacks_each_beta(self, betas):
+        """With a tuple of betas, one pass gives each beta's margins bit for bit,
+        in list order, duplicates included, and the beta-independent scale once."""
+        gen = np.random.default_rng(4471)
+        for P, Q, W in kernel_tables(gen):
+            marg, scale = pair_witness_margins(P, Q, W, betas)
+            assert marg.shape == (len(betas), len(P), len(W))
+            for b, got in zip(betas, marg):
+                want = pair_witness_margins(P, Q, W, b)
+                assert np.array_equal(got.view(np.int64), want[0].view(np.int64)), b
+                assert np.array_equal(scale.view(np.int64), want[1].view(np.int64))
+
+
 PINNED_BETAS = [1.0, 1.5, 1.7, 2.0, 5.0, 10.0, BETA_INF]
 
 
@@ -507,6 +522,18 @@ class TestSettledVerdicts:
         with pytest.raises(DegenerateInput):
             side_verdicts(d.points0, d.points1, 0.5)
 
+    def test_sides_without_pairs_or_witnesses(self, settling):
+        """No witnesses is an input error; an empty or one-point ``own`` has no
+        pairs, and still checks its beta."""
+        with pytest.raises(DegenerateInput, match="both sides need at least one point"):
+            side_verdicts([(0, 0), (1, 0)], [], 1.0)
+        for own in ([], [(0, 0)]):
+            v = side_verdicts(own, [(1, 1)], 1.0)
+            for f in ("iu", "jv", "is_edge", "closed_hit", "open_hit", "witness", "depth"):
+                assert getattr(v, f).shape == (0,), f
+            with pytest.raises(DegenerateInput, match=r"beta must lie in \[1, inf\]"):
+                side_verdicts(own, [(1, 1)], 0.5)
+
     def test_coincident_points_rejected(self, settling):
         d = DrawingPair(PATH0 + (PATH0[1],), PATH1)
         with pytest.raises(DegenerateInput, match="coincident"):
@@ -725,6 +752,68 @@ class TestAllBetaPrePass:
             tracemalloc.stop()
         assert reports[0].ok and not reports[-1].ok
         assert peak < 1.1 * 38.1 * 2 ** 20
+
+class TestMultiBetaStage:
+    """``verify_universal`` judges the pairs its pre-pass keeps at every beta in
+    one kernel pass per side; each report stays ``verify``'s, bit for bit."""
+
+    @pytest.mark.parametrize("betas", [(BETA_INF, 2, 1, 2, 1.5), (1, 1), (BETA_INF, BETA_INF),
+                                       (10.0, Fraction(3, 2), np.float32(2), 1.0)])
+    def test_duplicate_and_unordered_lists_equal_verify(self, rng, settling, betas):
+        drawings = list(corrupted_drawings(rng)) + list(tree_drawings())
+        reported = 0
+        for d in drawings:
+            want = [bits(verify(d, b)) for b in betas]
+            assert [bits(r) for r in verify_universal(d, betas)] == want
+            reported += any(r[2] for r in want)
+        assert reported > 0
+
+    def test_side_betas_hits_are_each_betas(self, rng, settling):
+        """Every beta's hits from one ``_side_betas`` pass are ``side_verdicts``'
+        at that beta; with no candidates, so is every field."""
+        betas = (BETA_INF, 1.0, 1.7, 1.0)
+        fields = ("iu", "jv", "is_edge", "closed_hit", "open_hit", "witness", "depth", "scale")
+        for d in corrupted_drawings(rng):
+            for side in (0, 1):
+                args = (d.side(side), d.side(1 - side))
+                pairs = proximity._side_pairs(*args, d.edges(side))
+                for b, got in zip(betas, proximity._side_betas(pairs, betas, TOL)):
+                    want = side_verdicts(*args, b, d.edges(side))
+                    for f in fields[:5] if pairs[6] is not None else fields:
+                        g, w = getattr(got, f), getattr(want, f)
+                        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (b, f)
+
+    def test_kernel_passes_do_not_grow_with_betas(self, rng, monkeypatch):
+        """Six betas and twelve make the same number of ``_margins`` calls."""
+        margins, calls = proximity._margins, []
+        monkeypatch.setattr(proximity, "_margins",
+                            lambda *a: calls.append(len(a[3])) or margins(*a))
+        twelve = (1.0, 1.25, 1.5, 1.75, 2.0, 3.0, 4.0, 5.0, 7.5, 10.0, 20.0, BETA_INF)
+        for d in list(corrupted_drawings(rng)) + list(tree_drawings()):
+            counts = []
+            for betas in (DEFAULT_BETAS, twelve):
+                calls.clear()
+                verify_universal(d, betas)
+                counts.append(len(calls))
+            assert counts[0] == counts[1] and max(calls) == len(twelve), counts
+
+    def test_memory_of_an_all_edge_layout_at_24_betas(self):
+        """The two-cloud all-edge layout of ``TestAllBetaPrePass`` at 24 finite
+        betas stays within its bound: chunks count the beta axis."""
+        gen = np.random.default_rng(160)
+        a = gen.uniform(0, 1, (160, 2)).tolist()
+        b = (gen.uniform(0, 1, (160, 2)) + (1.5, 0.0)).tolist()
+        d = DrawingPair(a, b, *extract_mw_graphs(a, b, 1.0, False))
+        betas = tuple(1.0 + i / 2 for i in range(24))
+        tracemalloc.start()
+        try:
+            reports = verify_universal(d, betas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reports[0].ok and not reports[-1].ok
+        assert peak < 1.1 * 38.1 * 2 ** 20
+
 
 CANON = ParallelogramAnnotation(Point(0, 3), Point(1, 1), Point(3, 0), Point(2, 2),
                                 a0_id=0, a1_id=0)
