@@ -2,7 +2,8 @@
 
 The extractor is the ground truth: a pair of one side is an edge exactly when
 no vertex of the other side lies in its beta region.  The verifier diffs a
-claimed drawing against that rule; both read verdicts from ``side_verdicts``.
+claimed drawing against that rule.  Every verdict, at one beta or at several,
+comes from one stage, ``_judge``, over one side's ``_side_pairs``.
 """
 from __future__ import annotations
 
@@ -46,17 +47,18 @@ class ConstructionTrace:
 
 
 def _normalize_edges(edges, n: int, side: str) -> Tuple[Tuple[int, int], ...]:
+    """Sorted ``(min, max)`` edges; ``side`` prefixes each message, as in ``"side-0 "``."""
     out = []
     seen = set()
     for e in edges:
         u, v = int(e[0]), int(e[1])
         if not (0 <= u < n and 0 <= v < n):
-            raise DegenerateInput(f"{side} edge ({u}, {v}) out of range")
+            raise DegenerateInput(f"{side}edge ({u}, {v}) out of range")
         if u == v:
-            raise DegenerateInput(f"{side} self-edge at {u}")
+            raise DegenerateInput(f"{side}self-edge at {u}")
         key = (min(u, v), max(u, v))
         if key in seen:
-            raise DegenerateInput(f"duplicate {side} edge {key}")
+            raise DegenerateInput(f"duplicate {side}edge {key}")
         seen.add(key)
         out.append(key)
     return tuple(sorted(out))
@@ -81,8 +83,8 @@ class DrawingPair:
             raise DegenerateInput("both sides need at least one point")
         object.__setattr__(self, "points0", pts0)
         object.__setattr__(self, "points1", pts1)
-        object.__setattr__(self, "edges0", _normalize_edges(self.edges0, len(pts0), "side-0"))
-        object.__setattr__(self, "edges1", _normalize_edges(self.edges1, len(pts1), "side-1"))
+        object.__setattr__(self, "edges0", _normalize_edges(self.edges0, len(pts0), "side-0 "))
+        object.__setattr__(self, "edges1", _normalize_edges(self.edges1, len(pts1), "side-1 "))
         for name, pts in (("a0_id", pts0), ("b0_id", pts0), ("a1_id", pts1), ("b1_id", pts1)):
             i = getattr(self.parallelogram, name, None)
             if i is not None and not (type(i) is int and 0 <= i < len(pts)):
@@ -158,7 +160,7 @@ def _margins(P: np.ndarray, Q: np.ndarray, W: np.ndarray,
         if not beta >= 1.0:
             raise DegenerateInput(f"beta must lie in [1, inf], got {beta!r}")
     d = _dist_table(Q[:, None], P)  # (m, 1): |Q[m] - P[m]|
-    if np.any(d == 0.0):
+    if not d.all():
         raise DegenerateInput("beta region undefined for coincident points")
     scale = np.maximum(d, np.maximum(_dist_table(W, P), _dist_table(W, Q)))
     halves = [float(b) / 2.0 for b in betas if b != BETA_INF]
@@ -212,8 +214,8 @@ class SideVerdicts:
     is *settled* when its candidate, the opposite point nearest its midpoint,
     has margin above ``max(TOL, margin) * S``, ``S = 2 * max(bbox width, bbox
     height)`` of both sides.  No scale exceeds ``S``, so both its hits are
-    true; its ``witness``/``depth``/``scale`` describe the candidate.  The pairs
-    ``verify_universal`` judges at several betas at once get full rows only.
+    true; its ``witness``/``depth``/``scale`` describe the candidate.  Judged at
+    several betas at once, a non-edge is settled only if it is at every one.
     """
 
     iu: np.ndarray
@@ -238,8 +240,11 @@ def _side_pairs(own: Sequence[Point], other: Sequence[Point], edges: Sequence[Tu
     iu, jv = np.nonzero(r[:, None] < r)  # np.triu_indices(n, k=1), with less overhead
     P, Q = A[iu], A[jv]
     e = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    u, v = e.T  # a negative id, read as unsigned below, is out of range, not counted from the end
+    if np.count_nonzero(e.view(np.uintp) >= n) or np.count_nonzero(u == v):
+        _normalize_edges(e.tolist(), n, "")  # raises, naming the first bad edge
     adj = np.zeros((n, n), dtype=bool)
-    adj[e[:, 0], e[:, 1]] = adj[e[:, 1], e[:, 0]] = True
+    adj[u, v] = adj[v, u] = True
     if len(iu) * len(B) <= _SETTLE_CELLS:
         return iu, jv, P, Q, B, adj[iu, jv], None, None
     step = max(1, _CHUNK // len(B))
@@ -268,29 +273,25 @@ def _chunked_rows(P: np.ndarray, Q: np.ndarray, W: np.ndarray, betas: Tuple, tol
     return rows[0] if len(rows) == 1 else [np.concatenate(f, axis=1) for f in zip(*rows)]
 
 
-def _side_betas(pairs, betas: Tuple, tol: float) -> List[SideVerdicts]:
-    """``side_verdicts`` at each of ``betas`` from the ``_side_pairs`` of one side, every
-    pair by its full row (no candidates), all betas from one kernel pass."""
-    iu, jv, P, Q, B, is_edge = pairs[:6]
-    return [SideVerdicts(iu, jv, is_edge, *v) for v in zip(*_chunked_rows(P, Q, B, betas, tol))]
-
-
-def _side_beta(pairs, beta: float, tol: float) -> SideVerdicts:
-    """``side_verdicts`` at ``beta`` from the ``_side_pairs`` of one side, or the verdicts that
-    ``verify_universal`` judged there in its ``_side_betas`` pass and hands on as a ninth item."""
-    if len(pairs) > 8:
-        return pairs[8]
+def _judge(pairs, betas: Tuple, tol: float) -> List[SideVerdicts]:
+    """``side_verdicts`` at each of ``betas`` from the ``_side_pairs`` of one side.  A non-edge
+    whose candidate margin is above ``tol * S`` at every beta is settled and reports its
+    candidate at each; every other row is judged at all betas in one full-row pass."""
     iu, jv, P, Q, B, is_edge, cand, S = pairs
     if cand is None:
-        return _side_betas(pairs, (beta,), tol)[0]
-    marg, scale = _margins(P, Q, B[cand][:, None], (beta,))
-    depth, scale = marg[0, :, 0], scale[:, 0]
-    open_hit = ~is_edge & (depth > tol * S)
-    closed_hit, witness = open_hit.copy(), cand.copy()
-    rest = np.flatnonzero(~open_hit)
-    (closed_hit[rest], open_hit[rest], witness[rest], depth[rest], scale[rest]) = (
-        f[0] for f in _chunked_rows(P[rest], Q[rest], B, (beta,), tol))
-    return SideVerdicts(iu, jv, is_edge, closed_hit, open_hit, witness, depth, scale)
+        rows = _chunked_rows(P, Q, B, betas, tol)
+        return [SideVerdicts(iu, jv, is_edge, *v) for v in zip(*rows)]
+    marg, scale = _margins(P, Q, B[cand][:, None], betas)
+    settled = ~is_edge & (marg[..., 0] > tol * S).all(axis=0)  # a NaN settles nothing
+    rest = (~settled).nonzero()[0]
+    full = _chunked_rows(P[rest], Q[rest], B, betas, tol)
+    judged = []
+    for b, depth in enumerate(marg[..., 0]):
+        fields = [settled.copy(), settled.copy(), cand.copy(), depth, scale[:, 0].copy()]
+        for f, r in zip(fields, full):
+            f[rest] = r[b]
+        judged.append(SideVerdicts(iu, jv, is_edge, *fields))
+    return judged
 
 
 def side_verdicts(own: Sequence[Point], other: Sequence[Point], beta: float,
@@ -301,7 +302,7 @@ def side_verdicts(own: Sequence[Point], other: Sequence[Point], beta: float,
     settled get full margin rows, in tables of ``_CHUNK`` cells (or one row).
     ``own`` may have fewer than two points; ``other`` needs one.
     """
-    return _side_beta(_side_pairs(own, other, edges), beta, TOL)
+    return _judge(_side_pairs(own, other, edges), (beta,), TOL)[0]
 
 
 def _violated(v: SideVerdicts, mode: str) -> np.ndarray:
@@ -358,7 +359,8 @@ def verify(d: DrawingPair, beta: float, mode: str = "strict",
         raise DegenerateInput(f"unknown mode {mode!r}")
     if not (margin >= 0.0 and math.isfinite(margin)):
         raise DegenerateInput(f"margin must be a finite real >= 0, got {margin!r}")
-    return _report(_drawing_sides(d), beta, mode, margin)
+    return _report([_judge(p, (beta,), max(TOL, margin))[0] for p in _drawing_sides(d)],
+                   beta, mode, margin)
 
 
 def _drawing_sides(d: DrawingPair):
@@ -366,16 +368,15 @@ def _drawing_sides(d: DrawingPair):
     return [_side_pairs(X[side], X[1 - side], d.edges(side)) for side in (0, 1)]
 
 
-def _report(sides, beta: float, mode: str, margin: float) -> VerificationReport:
-    """``verify`` of a drawing whose ``_drawing_sides`` are ``sides``."""
+def _report(verdicts, beta: float, mode: str, margin: float) -> VerificationReport:
+    """``verify`` of a drawing whose sides' ``SideVerdicts`` at ``beta`` are ``verdicts``."""
     violations: List[Violation] = []
     borderline: List[Tuple[int, Tuple[int, int], float]] = []
-    for side, pairs in enumerate(sides):
-        v = _side_beta(pairs, beta, max(TOL, margin))
+    for side, v in enumerate(verdicts):
         near = np.abs(v.depth) <= max(TOL, margin) * v.scale
-        for idx in np.flatnonzero(near).tolist():
+        for idx in near.nonzero()[0].tolist():
             borderline.append((side, (int(v.iu[idx]), int(v.jv[idx])), float(v.depth[idx])))
-        for idx in np.flatnonzero(_violated(v, mode)).tolist():
+        for idx in _violated(v, mode).nonzero()[0].tolist():
             pair = (int(v.iu[idx]), int(v.jv[idx]))
             if v.is_edge[idx]:
                 violations.append(Violation(side, pair, "ForbiddenWitness",
@@ -386,8 +387,8 @@ def _report(sides, beta: float, mode: str, margin: float) -> VerificationReport:
     return VerificationReport(mode, beta, tuple(violations), tuple(borderline))
 
 
-def _undecided(d: DrawingPair, sides: list, betas: Tuple) -> list:
-    """``sides`` of ``d`` less the rows whose verdict beta=1 and beta=inf fix at all ``betas``;
+def _undecided(sides: list, betas: Tuple) -> list:
+    """A drawing's ``sides`` less the rows whose verdict beta=1 and beta=inf fix at all ``betas``;
     the kept rows drop their candidates, for full rows at every beta."""
     if not (betas and all(b >= 1.0 for b in betas)):
         return sides
@@ -419,16 +420,13 @@ def _undecided(d: DrawingPair, sides: list, betas: Tuple) -> list:
 def verify_universal(d: DrawingPair, betas: Optional[Sequence[float]] = None
                      ) -> List[VerificationReport]:
     """Strict-mode ``verify`` at each listed beta (default sample), bit for bit.  Each side
-    drops the pairs beta=1 and beta=inf decide for every beta, and judges the rest with full
-    rows at every beta in one ``_side_betas`` pass; each report is built from its slice."""
+    drops the pairs beta=1 and beta=inf decide for every beta, and ``_judge`` judges the rest
+    at every beta in one pass; each report is built from its beta's verdicts."""
     betas = tuple(DEFAULT_BETAS if betas is None else betas)
-    sides = _drawing_sides(d)
     if not (betas and all(b >= 1.0 for b in betas)):  # [], or verify's error at the first beta
-        return [_report(sides, b, "strict", TOL) for b in betas]
-    sides = _undecided(d, sides, betas)
-    judged = zip(*(_side_betas(pairs, betas, TOL) for pairs in sides))
-    return [_report([pairs + (v,) for pairs, v in zip(sides, vs)], b, "strict", TOL)
-            for b, vs in zip(betas, judged)]
+        return [verify(d, b) for b in betas]
+    judged = zip(*(_judge(p, betas, TOL) for p in _undecided(_drawing_sides(d), betas)))
+    return [_report(vs, b, "strict", TOL) for b, vs in zip(betas, judged)]
 
 
 # ---------------------------------------------------------------------------

@@ -534,6 +534,16 @@ class TestSettledVerdicts:
             with pytest.raises(DegenerateInput, match=r"beta must lie in \[1, inf\]"):
                 side_verdicts(own, [(1, 1)], 0.5)
 
+    @pytest.mark.parametrize("edges, message", [
+        ([(-1, 0)], r"edge \(-1, 0\) out of range"), ([(0, 7)], r"edge \(0, 7\) out of range"),
+        ([(1, 1)], "self-edge at 1"), ([(0, 1), (3, 3), (0, 0)], r"edge \(3, 3\) out of range"),
+        ([(0, 2), (2, 2), (0, -3)], "self-edge at 2")])
+    def test_bad_edge_ids_rejected(self, settling, edges, message):
+        """Edge ids are checked as ``DrawingPair`` checks them, first bad edge first:
+        no negative index wraps round and no self-edge is dropped."""
+        with pytest.raises(DegenerateInput, match=f"^{message}$"):
+            side_verdicts([(0, 0), (1, 0), (2, 1)], [(1, 1)], 1.0, edges)
+
     def test_coincident_points_rejected(self, settling):
         d = DrawingPair(PATH0 + (PATH0[1],), PATH1)
         with pytest.raises(DegenerateInput, match="coincident"):
@@ -575,7 +585,7 @@ class TestVerifyUniversal:
                 args = (d.side(side), d.side(1 - side))
                 pairs = proximity._side_pairs(*args, d.edges(side))
                 for beta in (2.0, BETA_INF, 1.0, 1.7):
-                    got = proximity._side_beta(pairs, beta, TOL)
+                    got = proximity._judge(pairs, (beta,), TOL)[0]
                     want = side_verdicts(*args, beta, d.edges(side))
                     for f in fields:
                         g, w = getattr(got, f), getattr(want, f)
@@ -688,14 +698,14 @@ class TestAllBetaPrePass:
         """On a clean depth-3 tree drawing, the per-beta stage sees under 5% of the pairs."""
         rt = RootedTree.from_tree(gen_random_tree(60, 1, max_depth=3), 0)
         d = draw_tree_pair(rt, rt)
-        seen = []
-        side_beta = proximity._side_beta
+        seen = []  # rows judged, once per side and beta
+        judge = proximity._judge
 
-        def counted(pairs, beta, tol):
-            seen.append(len(pairs[0]))
-            return side_beta(pairs, beta, tol)
+        def counted(pairs, betas, tol):
+            seen.extend([len(pairs[0])] * len(betas))
+            return judge(pairs, betas, tol)
 
-        monkeypatch.setattr(proximity, "_side_beta", counted)
+        monkeypatch.setattr(proximity, "_judge", counted)
         assert all(r.ok for r in verify_universal(d))
         n0, n1 = len(d.points0), len(d.points1)
         pairs = n0 * (n0 - 1) // 2 + n1 * (n1 - 1) // 2
@@ -714,7 +724,7 @@ class TestAllBetaPrePass:
         d = DrawingPair([(x * scale, y * scale) for x, y in d.points0],
                         [(x * scale, y * scale) for x, y in d.points1], d.edges0, d.edges1)
         sides = proximity._drawing_sides(d)
-        kept = proximity._undecided(d, list(sides), betas)
+        kept = proximity._undecided(list(sides), betas)
         assert all(a is b for k, s in zip(kept, sides) for a, b in zip(k, s))
 
     def test_nan_margin_keeps_its_row(self):
@@ -723,14 +733,14 @@ class TestAllBetaPrePass:
         d = draw_tree_pair(rt, rt)
         sides = proximity._drawing_sides(d)
         iu, jv, P, Q, B, is_edge, cand, S = sides[0]
-        first = proximity._undecided(d, list(sides), DEFAULT_BETAS)[0]
+        first = proximity._undecided(list(sides), DEFAULT_BETAS)[0]
         dropped = set(zip(iu.tolist(), jv.tolist())) - set(zip(first[0].tolist(), first[1].tolist()))
         rows = [r for r in range(len(iu)) if (int(iu[r]), int(jv[r])) in dropped]
         edge = next(r for r in rows if is_edge[r])
         non_edge = next(r for r in rows if not is_edge[r])
         P = P.copy()
         P[[edge, non_edge]] = math.nan
-        kept = proximity._undecided(d, [(iu, jv, P, Q, B, is_edge, cand, S), sides[1]],
+        kept = proximity._undecided([(iu, jv, P, Q, B, is_edge, cand, S), sides[1]],
                                     DEFAULT_BETAS)[0]
         got = set(zip(kept[0].tolist(), kept[1].tolist()))
         assert {(int(iu[edge]), int(jv[edge])), (int(iu[non_edge]), int(jv[non_edge]))} <= got
@@ -768,8 +778,8 @@ class TestMultiBetaStage:
             reported += any(r[2] for r in want)
         assert reported > 0
 
-    def test_side_betas_hits_are_each_betas(self, rng, settling):
-        """Every beta's hits from one ``_side_betas`` pass are ``side_verdicts``'
+    def test_judge_hits_are_each_betas(self, rng, settling):
+        """Every beta's hits from one ``_judge`` pass are ``side_verdicts``'
         at that beta; with no candidates, so is every field."""
         betas = (BETA_INF, 1.0, 1.7, 1.0)
         fields = ("iu", "jv", "is_edge", "closed_hit", "open_hit", "witness", "depth", "scale")
@@ -777,11 +787,28 @@ class TestMultiBetaStage:
             for side in (0, 1):
                 args = (d.side(side), d.side(1 - side))
                 pairs = proximity._side_pairs(*args, d.edges(side))
-                for b, got in zip(betas, proximity._side_betas(pairs, betas, TOL)):
+                for b, got in zip(betas, proximity._judge(pairs, betas, TOL)):
                     want = side_verdicts(*args, b, d.edges(side))
                     for f in fields[:5] if pairs[6] is not None else fields:
                         g, w = getattr(got, f), getattr(want, f)
                         assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (b, f)
+
+    def test_candidate_reported_only_if_it_settles_every_beta(self, settling):
+        """(0.95, 0.6) is nearest the midpoint of (0, 0)-(1, 0), outside the
+        beta=2 region, which holds (0.5, 0.8), and inside the beta=inf one, where
+        (0.5, 0.8) is deeper.  Judged at beta=2 and beta=inf together, the pair
+        is not settled and reports its full row's witness at both; judged at
+        beta=inf alone, it is settled when candidates are searched."""
+        d = DrawingPair([(0, 0), (1, 0)], [(0.95, 0.6), (0.5, 0.8)])
+        pairs = proximity._side_pairs(d.points0, d.points1, ())
+        both = proximity._judge(pairs, (2.0, BETA_INF), TOL)
+        alone = proximity._judge(pairs, (BETA_INF,), TOL)[0]
+        assert [v.witness[0] for v in both] == [1, 1] and both[1].depth[0] == 0.5
+        assert all(v.closed_hit[0] and v.open_hit[0] for v in both + [alone])
+        settled = pairs[6] is not None
+        assert settled == (settling != "default")
+        assert alone.witness[0] == (0 if settled else 1)
+        assert alone.depth[0] == pytest.approx(0.05 if settled else 0.5)
 
     def test_kernel_passes_do_not_grow_with_betas(self, rng, monkeypatch):
         """Six betas and twelve make the same number of ``_margins`` calls."""
