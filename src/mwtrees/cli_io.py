@@ -28,6 +28,7 @@ from .tree_model import (
     RootedTree,
     SparseLeafSet,
     Tree,
+    as_int,
     caterpillar_decompose,
     gen_corollary_family,
     gen_random_caterpillar,
@@ -50,8 +51,7 @@ class TreeDocument:
 
     def rooted(self) -> RootedTree:
         root = 0 if self.root is None else self.root
-        order = {k: list(v) for k, v in (self.children_order or {}).items()}
-        return RootedTree.from_tree(self.tree, root, order or None)
+        return RootedTree.from_tree(self.tree, root, self.children_order)
 
 
 @dataclass
@@ -68,11 +68,6 @@ def _fmt_float(x: float) -> float:
 def _require(cond: bool, msg: str):
     if not cond:
         raise ParseError(msg)
-
-
-def _is_int(x) -> bool:
-    """A JSON integer; ``bool`` subclasses ``int`` in Python but is not one."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_num(x) -> bool:
@@ -98,14 +93,13 @@ def tree_from_json(data: dict) -> TreeDocument:
     _require(isinstance(data, dict), "tree document must be a JSON object")
     _require(data.get("format") == TREE_FORMAT,
              f"unsupported tree format {data.get('format')!r}")
-    _require(_is_int(data.get("n")) and data["n"] >= 1,
-             "field 'n' must be a positive integer")
-    n = data["n"]
+    n = as_int(data.get("n")) or 0
+    _require(n >= 1, "field 'n' must be a positive integer")
     raw_edges = data.get("edges")
     _require(isinstance(raw_edges, list), "field 'edges' must be a list")
     edges = []
     for i, e in enumerate(raw_edges):
-        _require(isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)),
+        _require(isinstance(e, list) and len(e) == 2 and None not in map(as_int, e),
                  f"edge #{i} must be a pair of integers")
         _require(0 <= e[0] < n and 0 <= e[1] < n,
                  f"edge #{i} = {e} out of range for n={n}")
@@ -116,10 +110,10 @@ def tree_from_json(data: dict) -> TreeDocument:
         raise ParseError(f"edge list does not form a tree: {exc}") from exc
     root = data.get("root")
     if root is not None:
-        _require(_is_int(root) and 0 <= root < n, f"root {root!r} out of range")
+        _require(as_int(root) is not None and 0 <= root < n, f"root {root!r} out of range")
     sparse = data.get("sparse_leaves")
     if sparse is not None:
-        _require(isinstance(sparse, list) and all(map(_is_int, sparse)),
+        _require(isinstance(sparse, list) and None not in map(as_int, sparse),
                  "field 'sparse_leaves' must be a list of integers")
         for x in sparse:
             _require(0 <= x < n, f"sparse leaf {x} out of range")
@@ -130,12 +124,13 @@ def tree_from_json(data: dict) -> TreeDocument:
         parsed = {}
         for k, v in order.items():
             try:
-                u = int(k) if isinstance(k, str) or _is_int(k) else -1
+                u = int(k) if isinstance(k, str) else as_int(k)  # JSON keys are strings
             except ValueError:
-                u = -1
-            _require(0 <= u < n, f"children_order key {k!r} is not a vertex id for n={n}")
+                u = None
+            _require(u is not None and 0 <= u < n,
+                     f"children_order key {k!r} is not a vertex id for n={n}")
             _require(u not in parsed, f"children_order key {k!r} repeats vertex {u}")
-            _require(isinstance(v, list) and all(map(_is_int, v)),
+            _require(isinstance(v, list) and None not in map(as_int, v),
                      f"children_order[{k}] must be a list of integers")
             parsed[u] = tuple(v)
         order = parsed
@@ -177,7 +172,7 @@ def _parse_points(raw, name: str) -> Tuple[Point, ...]:
     pts: List[Optional[Point]] = [None] * len(raw)
     for i, item in enumerate(raw):
         _require(isinstance(item, dict), f"{name}[{i}] must be an object")
-        _require(_is_int(item.get("id")), f"{name}[{i}] needs an integer id")
+        _require(as_int(item.get("id")) is not None, f"{name}[{i}] needs an integer id")
         vid = item["id"]
         _require(0 <= vid < len(raw), f"{name}[{i}] id {vid} out of range")
         _require(pts[vid] is None, f"duplicate id {vid} in {name}")
@@ -199,7 +194,7 @@ def drawing_from_json(data: dict) -> DrawingDocument:
         _require(isinstance(raw, list), f"field '{name}' must be a list")
         out = []
         for i, e in enumerate(raw):
-            _require(isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)),
+            _require(isinstance(e, list) and len(e) == 2 and None not in map(as_int, e),
                      f"{name}[{i}] must be a pair of integers")
             _require(0 <= e[0] < n and 0 <= e[1] < n,
                      f"{name}[{i}] = {e} references a missing vertex")

@@ -66,11 +66,12 @@ from .proximity import (
 from .tree_model import (
     CaterpillarDecomposition,
     RootedTree,
-    SparseLeafSet,
+    _members,
     is_sparse,
     reorder_children_for_pruning,
     rooted_isomorphism,
     subtree_type,
+    vertex_id,
 )
 
 # A drawing annotated with parallelogram corners; see DrawingPair.parallelogram.
@@ -156,16 +157,13 @@ def redraw_pruned_stars(wpd: WPDrawing, keep0: Sequence[int], keep1: Sequence[in
     segments; the corner slots stay occupied, so pruning the corner leaf
     effectively swaps another kept leaf into its place.
     """
-    k0 = sorted(set(int(i) for i in keep0))
-    k1 = sorted(set(int(i) for i in keep1))
+    k0, k1 = (sorted({vertex_id(i, len(wpd.drawing.side(s)), "keep id", EmptyKeepSet)
+                      for i in keep}) for s, keep in ((0, keep0), (1, keep1)))
     if not k0 or not k1 or len(k0) != len(k1):
         raise EmptyKeepSet("keep sets must be nonempty and of equal size")
-    leaf_ids = set(range(1, len(wpd.drawing.points0)))
-    if not set(k0) <= leaf_ids or not set(k1) <= leaf_ids:
+    if k0[0] == 0 or k1[0] == 0:
         raise EmptyKeepSet("keep sets must reference leaf vertex ids")
     c = len(k0)
-    if c > len(leaf_ids):
-        raise EmptyKeepSet("cannot keep more leaves than the drawing has")
 
     def grid(seg: Segment) -> List[Point]:
         if c == 1:
@@ -212,9 +210,8 @@ def _safe_offset(X0: np.ndarray, X1: np.ndarray, edges0, edges1,
 
     ``moving`` holds each side's row mask of the block and ``flags`` the
     drawing's ``_gabriel_flags``, computed here when None.  Returns the
-    offset and the flags of the accepted candidate, which are those of the
-    drawing moved by ``(eps * u.x, eps * u.y)``, or the starting flags if no
-    candidate ran.
+    first candidate that passes the acceptance test, with its flags: those
+    of the drawing moved by ``(eps * u.x, eps * u.y)``.
     """
     X = np.concatenate([X0, X1])
     scale = _extent(X.tolist(), 1.0)
@@ -228,8 +225,6 @@ def _safe_offset(X0: np.ndarray, X1: np.ndarray, edges0, edges1,
         flags = _gabriel_flags(X0, X1, edges0, edges1)
     orig_bad, strict, before = flags
     target = np.concatenate([v.is_edge & (m[v.iu] != m[v.jv]) for v, m in zip(before, moving)])
-    if not target.any() and not orig_bad.any():
-        return base, flags
     kept_strict = strict & ~orig_bad & ~target
 
     eps = base
@@ -253,16 +248,16 @@ def compute_safe_perturbation(d: DrawingPair, block0: Set[int], block1: Set[int]
     new closed-mode violation appears, and every previously strict verdict
     keeps a margin above tolerance.  Verdicts are ``verify``'s at beta 1:
     any witness within ``TOL`` times its own scale of a region counts.
-    Block ids must be vertices of their side.
+    Every returned offset has passed this test, also when no edge crosses
+    the block.  Block ids must be vertices of their side.
     """
     u = unit(direction)
-    b0, b1 = (set(int(i) for i in b) for b in (block0, block1))
-    bad = [(s, i) for s, b in ((0, b0), (1, b1)) for i in sorted(b) if not 0 <= i < len(d.side(s))]
-    if bad:
-        raise DegenerateInput(f"block ids outside their side, as (side, id): {bad}")
+    moving = tuple(np.zeros(len(d.side(s)), dtype=bool) for s in (0, 1))
+    for s, block in ((0, block0), (1, block1)):
+        moving[s][[vertex_id(i, len(moving[s]), f"side-{s} block ids:") for i in block]] = True
     X0, X1 = (np.array(d.side(s), dtype=float) for s in (0, 1))
-    moving = tuple(np.isin(np.arange(len(X)), list(b)) for X, b in ((X0, b0), (X1, b1)))
-    return _safe_offset(X0, X1, d.edges0, d.edges1, moving, u)[0]
+    E0, E1 = (np.array(d.edges(s), dtype=np.intp) for s in (0, 1))
+    return _safe_offset(X0, X1, E0, E1, moving, u)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +377,8 @@ def draw_caterpillar_pair(cat: CaterpillarDecomposition) -> DrawingPair:
     eps_values: List[float] = []
     moving = np.zeros(tree.n, dtype=bool)
     gaps = range(len(cat.spine) - 2, -1, -1)
-    flags = _gabriel_flags(A0, A1, tree.edges, tree.edges) if gaps else None
+    E = np.array(tree.edges, dtype=np.intp)
+    flags = _gabriel_flags(A0, A1, E, E) if gaps else None
     for gap in gaps:
         moving[blocks[gap + 1]] = True
         a, b = sorted(cat.spine[gap:gap + 2])
@@ -390,8 +386,7 @@ def draw_caterpillar_pair(cat: CaterpillarDecomposition) -> DrawingPair:
         if not any(v.closed_hit[row] for v in flags[2]):
             eps_values.append(0.0)
             continue
-        eps, flags = _safe_offset(A0, A1, tree.edges, tree.edges, (moving, moving),
-                                  Point(-1.0, 0.0), flags)
+        eps, flags = _safe_offset(A0, A1, E, E, (moving, moving), Point(-1.0, 0.0), flags)
         eps_values.append(eps)
         for A in (A0, A1):
             A[moving] += (-eps, 0.0)
@@ -1005,8 +1000,7 @@ def draw_pruned_tree_pair(rt: RootedTree, leaf_set) -> DrawingPair:
     Valid under both open and closed semantics for every beta in [1, inf];
     the two sides have different cardinalities.
     """
-    members = frozenset(leaf_set.leaf_ids if isinstance(leaf_set, SparseLeafSet)
-                        else leaf_set)
+    members = _members(rt, leaf_set)
     if rt.height() < 2:
         raise HeightTooSmall("pruning needs a rooted tree of height at least 2")
     ok, violations = is_sparse(rt, members)

@@ -8,13 +8,14 @@ comes from one stage, ``_judge``, over one side's ``_side_pairs``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DegenerateInput, MissingAnnotation
 from .geometry import TOL, BETA_INF, Line, Point, _extent
+from .tree_model import normalize_edges, vertex_id
 
 DEFAULT_BETAS: Tuple[float, ...] = (1.0, 1.5, 2.0, 5.0, 10.0, BETA_INF)
 _CHUNK = 1 << 16  # cells in one chunk of a (betas x pairs x witnesses) table: L2-sized
@@ -46,24 +47,6 @@ class ConstructionTrace:
     data: Dict = field(default_factory=dict)
 
 
-def _normalize_edges(edges, n: int, side: str) -> Tuple[Tuple[int, int], ...]:
-    """Sorted ``(min, max)`` edges; ``side`` prefixes each message, as in ``"side-0 "``."""
-    out = []
-    seen = set()
-    for e in edges:
-        u, v = int(e[0]), int(e[1])
-        if not (0 <= u < n and 0 <= v < n):
-            raise DegenerateInput(f"{side}edge ({u}, {v}) out of range")
-        if u == v:
-            raise DegenerateInput(f"{side}self-edge at {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise DegenerateInput(f"duplicate {side}edge {key}")
-        seen.add(key)
-        out.append(key)
-    return tuple(sorted(out))
-
-
 @dataclass(frozen=True)
 class DrawingPair:
     """Two indexed point sets with their edge lists and optional annotations."""
@@ -83,12 +66,13 @@ class DrawingPair:
             raise DegenerateInput("both sides need at least one point")
         object.__setattr__(self, "points0", pts0)
         object.__setattr__(self, "points1", pts1)
-        object.__setattr__(self, "edges0", _normalize_edges(self.edges0, len(pts0), "side-0 "))
-        object.__setattr__(self, "edges1", _normalize_edges(self.edges1, len(pts1), "side-1 "))
-        for name, pts in (("a0_id", pts0), ("b0_id", pts0), ("a1_id", pts1), ("b1_id", pts1)):
-            i = getattr(self.parallelogram, name, None)
-            if i is not None and not (type(i) is int and 0 <= i < len(pts)):
-                raise DegenerateInput(f"parallelogram {name} {i!r} is not a vertex of its side")
+        object.__setattr__(self, "edges0", normalize_edges(self.edges0, len(pts0), "side-0 "))
+        object.__setattr__(self, "edges1", normalize_edges(self.edges1, len(pts1), "side-1 "))
+        corners = (("a0_id", pts0), ("b0_id", pts0), ("a1_id", pts1), ("b1_id", pts1))
+        ids = {name: vertex_id(i, len(pts), f"parallelogram {name}") for name, pts in corners
+               if (i := getattr(self.parallelogram, name, None)) is not None}
+        if any(type(getattr(self.parallelogram, name)) is not int for name in ids):
+            object.__setattr__(self, "parallelogram", replace(self.parallelogram, **ids))
 
     def side(self, i: int) -> Tuple[Point, ...]:
         return self.points0 if i == 0 else self.points1
@@ -239,10 +223,12 @@ def _side_pairs(own: Sequence[Point], other: Sequence[Point], edges: Sequence[Tu
     r = np.arange(n)
     iu, jv = np.nonzero(r[:, None] < r)  # np.triu_indices(n, k=1), with less overhead
     P, Q = A[iu], A[jv]
+    if not (isinstance(edges, np.ndarray) and edges.dtype.kind in "iu"):
+        edges = normalize_edges(edges, n)  # by the vertex-id rule; integer arrays run below
     e = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
     u, v = e.T  # a negative id, read as unsigned below, is out of range, not counted from the end
     if np.count_nonzero(e.view(np.uintp) >= n) or np.count_nonzero(u == v):
-        _normalize_edges(e.tolist(), n, "")  # raises, naming the first bad edge
+        normalize_edges(e.tolist(), n)  # raises, naming the first bad edge
     adj = np.zeros((n, n), dtype=bool)
     adj[u, v] = adj[v, u] = True
     if len(iu) * len(B) <= _SETTLE_CELLS:
@@ -300,7 +286,8 @@ def side_verdicts(own: Sequence[Point], other: Sequence[Point], beta: float,
 
     The tolerance is ``TOL`` times each witness's local scale.  Pairs not
     settled get full margin rows, in tables of ``_CHUNK`` cells (or one row).
-    ``own`` may have fewer than two points; ``other`` needs one.
+    ``own`` may have fewer than two points; ``other`` needs one.  ``edges``
+    go through ``normalize_edges``, unless they are one integer array.
     """
     return _judge(_side_pairs(own, other, edges), (beta,), TOL)[0]
 
@@ -365,7 +352,8 @@ def verify(d: DrawingPair, beta: float, mode: str = "strict",
 
 def _drawing_sides(d: DrawingPair):
     X = [np.asarray(d.side(side), dtype=float) for side in (0, 1)]
-    return [_side_pairs(X[side], X[1 - side], d.edges(side)) for side in (0, 1)]
+    return [_side_pairs(X[side], X[1 - side], np.array(d.edges(side), dtype=np.intp))
+            for side in (0, 1)]
 
 
 def _report(verdicts, beta: float, mode: str, margin: float) -> VerificationReport:
@@ -374,16 +362,13 @@ def _report(verdicts, beta: float, mode: str, margin: float) -> VerificationRepo
     borderline: List[Tuple[int, Tuple[int, int], float]] = []
     for side, v in enumerate(verdicts):
         near = np.abs(v.depth) <= max(TOL, margin) * v.scale
-        for idx in near.nonzero()[0].tolist():
-            borderline.append((side, (int(v.iu[idx]), int(v.jv[idx])), float(v.depth[idx])))
-        for idx in _violated(v, mode).nonzero()[0].tolist():
-            pair = (int(v.iu[idx]), int(v.jv[idx]))
-            if v.is_edge[idx]:
-                violations.append(Violation(side, pair, "ForbiddenWitness",
-                                            int(v.witness[idx]), float(v.depth[idx])))
-            else:
-                violations.append(Violation(side, pair, "MissingWitness", None,
-                                            float(v.depth[idx])))
+        for i in near.nonzero()[0].tolist():
+            borderline.append((side, (v.iu.item(i), v.jv.item(i)), v.depth.item(i)))
+        for i in _violated(v, mode).nonzero()[0].tolist():
+            edge = v.is_edge[i]
+            violations.append(Violation(side, (v.iu.item(i), v.jv.item(i)),
+                                        "ForbiddenWitness" if edge else "MissingWitness",
+                                        v.witness.item(i) if edge else None, v.depth.item(i)))
     return VerificationReport(mode, beta, tuple(violations), tuple(borderline))
 
 

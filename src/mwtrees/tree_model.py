@@ -1,6 +1,7 @@
 """Tree representation, isomorphism, caterpillar and sparse-leaf machinery."""
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -15,6 +16,48 @@ from .errors import (
 )
 
 
+def as_int(x) -> Optional[int]:
+    """``x`` as a plain ``int`` when it is an integer: ``operator.index(x)``, for anything
+    but a ``bool``; else None.  JSON and numpy integers qualify, floats do not."""
+    if isinstance(x, bool):
+        return None
+    try:
+        return operator.index(x)
+    except TypeError:
+        return None
+
+
+def vertex_id(x, n: int, what: str = "vertex", error: type = DegenerateInput) -> int:
+    """``x`` as a vertex id of ``n`` vertices: an integer by ``as_int`` in ``[0, n)``.
+    Anything else raises ``error``, naming ``what`` and ``x``."""
+    i = as_int(x)
+    if i is None or not 0 <= i < n:
+        raise error(f"{what} {x!r} is not a vertex id in [0, {n})")
+    return i
+
+
+def normalize_edges(edges, n: int, side: str = "") -> Tuple[Tuple[int, int], ...]:
+    """Sorted ``(min, max)`` vertex-id pairs of ``edges`` on ``n`` vertices.  The first edge
+    that is not a pair of vertex ids, a self-edge or a repeat raises DegenerateInput;
+    ``side`` prefixes each message, as in ``"side-0 "``."""
+    out = set()
+    for e in edges:
+        try:
+            u, v = e
+            i, j = vertex_id(u, n), vertex_id(v, n)
+        except (TypeError, ValueError):
+            raise DegenerateInput(f"{side}edge {e!r} is not a pair of vertex ids") from None
+        except DegenerateInput:
+            raise DegenerateInput(f"{side}edge ({u}, {v}) out of range") from None
+        if i == j:
+            raise DegenerateInput(f"{side}self-edge at {i}")
+        key = (min(i, j), max(i, j))
+        if key in out:
+            raise DegenerateInput(f"duplicate {side}edge {key}")
+        out.add(key)
+    return tuple(sorted(out))
+
+
 @dataclass(frozen=True)
 class Tree:
     """Unrooted tree on vertex ids ``0 .. n-1`` given by its edge list."""
@@ -23,43 +66,27 @@ class Tree:
     edges: Tuple[Tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DegenerateInput("trees need at least one vertex")
-        norm_edges = []
-        seen = set()
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise DegenerateInput(f"edge ({u}, {v}) out of range for n={self.n}")
-            if u == v:
-                raise DegenerateInput(f"self-loop at vertex {u}")
-            e = (min(u, v), max(u, v))
-            if e in seen:
-                raise DegenerateInput(f"duplicate edge {e}")
-            seen.add(e)
-            norm_edges.append(e)
-        if len(norm_edges) != self.n - 1:
-            raise DegenerateInput(
-                f"a tree on {self.n} vertices has {self.n - 1} edges, got {len(norm_edges)}")
-        object.__setattr__(self, "edges", tuple(sorted(norm_edges)))
-        adj: List[List[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
+        n = as_int(self.n)
+        if n is None or n < 1:
+            raise DegenerateInput(f"a tree needs an integer n >= 1, got {self.n!r}")
+        edges = normalize_edges(self.edges, n)
+        if len(edges) != n - 1:
+            raise DegenerateInput(f"a tree on {n} vertices has {n - 1} edges, got {len(edges)}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+        adj: List[List[int]] = [[] for _ in range(n)]
+        for u, v in edges:  # sorted pairs: each list comes out sorted
             adj[u].append(v)
             adj[v].append(u)
-        for lst in adj:
-            lst.sort()
         object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
-        # connectivity
-        if self.n > 1:
-            seen_v = {0}
-            stack = [0]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w not in seen_v:
-                        seen_v.add(w)
-                        stack.append(w)
-            if len(seen_v) != self.n:
-                raise DegenerateInput("edge list is not connected")
+        seen, stack = {0}, [0]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) != n:
+            raise DegenerateInput("edge list is not connected")
 
     @property
     def adj(self) -> Tuple[Tuple[int, ...], ...]:
@@ -90,38 +117,31 @@ class RootedTree:
     @staticmethod
     def from_tree(tree: Tree, root: int,
                   children_order: Optional[Dict[int, Sequence[int]]] = None) -> "RootedTree":
-        if not (0 <= root < tree.n):
-            raise DegenerateInput(f"root {root} out of range")
+        root = vertex_id(root, tree.n, "root")
         parent: List[Optional[int]] = [None] * tree.n
         children: List[List[int]] = [[] for _ in range(tree.n)]
         stack = [root]
-        visited = {root}
         while stack:
             u = stack.pop()
             for w in tree.adj[u]:
-                if w not in visited:
-                    visited.add(w)
+                if w != parent[u]:  # in a tree, every other neighbour is a child
                     parent[w] = u
                     children[u].append(w)
                     stack.append(w)
-        if children_order is not None:
-            for v, kids in children_order.items():
-                if sorted(kids) != sorted(children[v]):
-                    raise DegenerateInput(
-                        f"children_order for vertex {v} does not match the tree")
-                children[v] = list(kids)
-        return RootedTree(tree, root,
-                          tuple(tuple(c) for c in children),
-                          tuple(parent))
+        rt = RootedTree(tree, root, tuple(tuple(c) for c in children), tuple(parent))
+        return rt if children_order is None else rt.with_children(children_order)
 
     def with_children(self, new_children: Dict[int, Sequence[int]]) -> "RootedTree":
-        kids = [list(c) for c in self.children]
+        """The tree with each key's children in the given order, a permutation of them."""
+        n, kids = self.tree.n, list(self.children)
         for v, order in new_children.items():
+            v = vertex_id(v, n, "child-order key")
+            order = tuple(vertex_id(c, n, f"vertex {v}'s child") for c in order)
             if sorted(order) != sorted(kids[v]):
-                raise DegenerateInput(f"new child order for {v} is not a permutation")
-            kids[v] = list(order)
-        return RootedTree(self.tree, self.root,
-                          tuple(tuple(c) for c in kids), self.parent)
+                raise DegenerateInput(f"child order {list(order)} of vertex {v} is not "
+                                      f"a permutation of its children {sorted(kids[v])}")
+            kids[v] = order
+        return RootedTree(self.tree, self.root, tuple(kids), self.parent)
 
     def subtree_vertices(self, v: int) -> List[int]:
         out = []
@@ -301,16 +321,20 @@ def caterpillar_decompose(t: Tree) -> CaterpillarDecomposition:
 # sparse leaf sets and pruning order
 # ---------------------------------------------------------------------------
 
+def _members(rt: RootedTree, leaf_set) -> FrozenSet[int]:
+    """The vertex ids of ``leaf_set``, a ``SparseLeafSet`` or ids, or InvalidLeafSet."""
+    ids = leaf_set.leaf_ids if isinstance(leaf_set, SparseLeafSet) else leaf_set
+    return frozenset(vertex_id(v, rt.tree.n, "leaf", InvalidLeafSet) for v in ids)
+
+
 def is_sparse(rt: RootedTree, leaf_ids) -> Tuple[bool, List[Tuple[int, str]]]:
     """Check the three sparseness conditions for every member of the set.
 
     Returns ``(ok, violations)`` where each violation names the vertex and
     the failing clause.  Raises InvalidLeafSet if a member is not a leaf.
     """
-    members = set(leaf_ids.leaf_ids if isinstance(leaf_ids, SparseLeafSet) else leaf_ids)
+    members = _members(rt, leaf_ids)
     for v in members:
-        if not (0 <= v < rt.tree.n):
-            raise InvalidLeafSet(f"vertex {v} out of range")
         if not rt.is_leaf(v):
             raise InvalidLeafSet(f"vertex {v} is not a leaf")
     violations: List[Tuple[int, str]] = []
@@ -354,7 +378,7 @@ def reorder_children_for_pruning(rt: RootedTree, leaf_set) -> RootedTree:
     Inside each type-B subtree the set leaf is moved to the rightmost
     position among its siblings.  Structure is otherwise unchanged.
     """
-    members = frozenset(leaf_set.leaf_ids if isinstance(leaf_set, SparseLeafSet) else leaf_set)
+    members = _members(rt, leaf_set)
     new_children: Dict[int, List[int]] = {}
     stack = [rt.root]  # the type-D subtrees, in pre-order
     while stack:

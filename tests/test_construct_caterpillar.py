@@ -215,6 +215,19 @@ class TestSafePerturbation:
                     for b in all_pts[i + 1:])
         assert eps == pytest.approx(min_d / 10)
 
+    def test_untargeted_move_is_still_tested(self):
+        # no edge crosses the block and nothing is violated, yet moving the
+        # witness by min_d / 10 carries it into the closed disk of side-0
+        # edge (0, 1): the first candidate must be rejected
+        d = DrawingPair(((0, 0), (1, 0)), ((0.96, 0.2), (0.5, -3.0)), ((0, 1),), ())
+        assert verify(d, 1.0, "closed").ok
+        base = construct._min_pair_distance(list(d.points0 + d.points1)) / 10.0
+        eps = compute_safe_perturbation(d, set(), {0})
+        assert 0.0 < eps < base
+        for step, ok in ((eps, True), (base, False)):
+            moved = DrawingPair(d.points0, ((0.96 - step, 0.2), (0.5, -3.0)), d.edges0, ())
+            assert verify(moved, 1.0, "closed").ok == ok
+
     def test_repairs_boundary_contact(self):
         # two unit-spaced rows; the long pair (0, 2) is declared an edge but
         # carries a boundary witness, and shifting the suffix clears it
