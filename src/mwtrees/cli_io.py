@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import construct
-from .errors import InvalidSpec, MWTreesError, ParseError
+from .errors import MWTreesError, ParseError
 from .geometry import BETA_INF, Line, Point, _extent, beta_disks, unit, vsub
 from .proximity import (
     ConstructionTrace,
@@ -29,6 +29,7 @@ from .tree_model import (
     SparseLeafSet,
     Tree,
     as_int,
+    at_least,
     caterpillar_decompose,
     gen_corollary_family,
     gen_random_caterpillar,
@@ -89,23 +90,24 @@ def tree_to_json(doc: TreeDocument) -> dict:
     return out
 
 
+def _parse_edges(raw, n: int, field: str, at) -> Tuple[Tuple[int, int], ...]:
+    """The JSON list ``raw`` as edges on ``n`` vertices; ``at(i)`` names edge ``i``."""
+    _require(isinstance(raw, list), f"field '{field}' must be a list")
+    for i, e in enumerate(raw):
+        _require(isinstance(e, list) and len(e) == 2 and None not in map(as_int, e),
+                 f"{at(i)} must be a pair of integers")
+        _require(0 <= e[0] < n and 0 <= e[1] < n, f"{at(i)} = {e} out of range for n={n}")
+    return tuple((e[0], e[1]) for e in raw)
+
+
 def tree_from_json(data: dict) -> TreeDocument:
     _require(isinstance(data, dict), "tree document must be a JSON object")
     _require(data.get("format") == TREE_FORMAT,
              f"unsupported tree format {data.get('format')!r}")
-    n = as_int(data.get("n")) or 0
-    _require(n >= 1, "field 'n' must be a positive integer")
-    raw_edges = data.get("edges")
-    _require(isinstance(raw_edges, list), "field 'edges' must be a list")
-    edges = []
-    for i, e in enumerate(raw_edges):
-        _require(isinstance(e, list) and len(e) == 2 and None not in map(as_int, e),
-                 f"edge #{i} must be a pair of integers")
-        _require(0 <= e[0] < n and 0 <= e[1] < n,
-                 f"edge #{i} = {e} out of range for n={n}")
-        edges.append((e[0], e[1]))
+    n = at_least(data.get("n"), 1, "field 'n' must be a positive integer", ParseError)
+    edges = _parse_edges(data.get("edges"), n, "edges", "edge #{}".format)
     try:
-        tree = Tree(n, tuple(edges))
+        tree = Tree(n, edges)
     except MWTreesError as exc:
         raise ParseError(f"edge list does not form a tree: {exc}") from exc
     root = data.get("root")
@@ -134,6 +136,10 @@ def tree_from_json(data: dict) -> TreeDocument:
                      f"children_order[{k}] must be a list of integers")
             parsed[u] = tuple(v)
         order = parsed
+        try:  # rooted now, as TreeDocument.rooted roots it, so that a bad order fails here
+            TreeDocument(tree, root, None, order).rooted()
+        except MWTreesError as exc:
+            raise ParseError(f"field 'children_order' does not fit the tree: {exc}") from exc
     return TreeDocument(tree, root, sparse, order)
 
 
@@ -190,19 +196,8 @@ def drawing_from_json(data: dict) -> DrawingDocument:
     pts0 = _parse_points(data.get("points0"), "points0")
     pts1 = _parse_points(data.get("points1"), "points1")
 
-    def parse_edges(raw, name, n):
-        _require(isinstance(raw, list), f"field '{name}' must be a list")
-        out = []
-        for i, e in enumerate(raw):
-            _require(isinstance(e, list) and len(e) == 2 and None not in map(as_int, e),
-                     f"{name}[{i}] must be a pair of integers")
-            _require(0 <= e[0] < n and 0 <= e[1] < n,
-                     f"{name}[{i}] = {e} references a missing vertex")
-            out.append((e[0], e[1]))
-        return tuple(out)
-
-    edges0 = parse_edges(data.get("edges0", []), "edges0", len(pts0))
-    edges1 = parse_edges(data.get("edges1", []), "edges1", len(pts1))
+    edges0, edges1 = (_parse_edges(data.get(k, []), len(pts), k, (k + "[{}]").format)
+                      for k, pts in (("edges0", pts0), ("edges1", pts1)))
 
     sl = pg = None
     trace = None
@@ -435,8 +430,7 @@ def _cmd_gen(args) -> int:
         tree = gen_random_tree(args.n, args.seed, args.max_depth)
         doc = TreeDocument(tree, root=0)
     elif args.kind == "caterpillar":
-        if args.n < 1:
-            raise InvalidSpec("n must be positive")
+        at_least(args.n, 1, "n must be positive")
         rng = random.Random(args.seed)
         spine = max(1, min(args.n, 1 + rng.randrange(max(1, args.n // 3))))
         remaining = args.n - spine

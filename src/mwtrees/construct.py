@@ -13,10 +13,11 @@ Four constructions are provided:
   set, same universal validity.
 
 All constructions are deterministic.  Each recursion level is assembled
-and gated once: the gate runs ``verify`` in strict mode at beta 1 and beta
-inf on the level's drawing and, on failure, raises DegenerateGeometry at
-once, naming the subtree vertex, the beta and the first violation, rather
-than return an invalid drawing.
+and gated once: ``verify``'s stages judge the level's coordinate arrays
+strictly at beta 1 and beta inf, from one candidate search per side, and a
+failure raises DegenerateGeometry at once, naming the subtree vertex, the
+beta (1 first) and the first violation.  Caterpillars end with the same
+stages' closed check at beta 1 of their arrays.
 """
 from __future__ import annotations
 
@@ -58,15 +59,17 @@ from .proximity import (
     ConstructionTrace,
     DrawingPair,
     ParallelogramAnnotation,
+    _reports,
+    _side_pairs,
     _violated,
     side_verdicts,
     strip_ratio,
-    verify,
 )
 from .tree_model import (
     CaterpillarDecomposition,
     RootedTree,
     _members,
+    at_least,
     is_sparse,
     reorder_children_for_pruning,
     rooted_isomorphism,
@@ -121,8 +124,7 @@ def draw_star_pair(k: int) -> WPDrawing:
     lifted to height ``2 k^2 + 0.5`` above its row so none of its edges can
     pick up a witness from the far side.
     """
-    if not isinstance(k, int) or k < 0:
-        raise DegenerateInput(f"leaf index bound must be a nonnegative integer, got {k!r}")
+    k = at_least(k, 0, "leaf index bound must be a nonnegative integer", DegenerateInput)
     if k == 0:
         a0, b0 = Point(0.0, 5.0), Point(0.0, 3.0)
         a1, b1 = Point(2.0, 0.0), Point(2.0, 2.0)
@@ -399,14 +401,13 @@ def draw_caterpillar_pair(cat: CaterpillarDecomposition) -> DrawingPair:
         "offsets": [(t.x, t.y) for t in taus],
         "suffix_nudges": eps_values[::-1],
     })
-    line = Line(Point(0.0, (north + south) / 2.0), Point(1.0, 0.0))
-    d = DrawingPair(A0.tolist(), A1.tolist(), tree.edges, tree.edges,
-                    separating_line=line, trace=trace)
-    report = verify(d, 1.0, "closed")
+    report = _reports([_side_pairs(A0, A1, E), _side_pairs(A1, A0, E)], (1.0,), "closed", TOL)[0]
     if not report.ok:
         raise DegenerateGeometry(
             f"caterpillar drawing failed closed verification: {report.violations[:3]}")
-    return d
+    line = Line(Point(0.0, (north + south) / 2.0), Point(1.0, 0.0))
+    return DrawingPair(A0.tolist(), A1.tolist(), tree.edges, tree.edges,
+                       separating_line=line, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -452,22 +453,19 @@ class _Sub:
 
 
 def _gate_sub(sub: _Sub, v: int) -> None:
-    """Raise DegenerateGeometry unless the subtree at ``v`` is strictly valid
-    at beta 1 and beta inf (hence, by nesting, at every beta)."""
-    s0, s1 = sub.sides
-    if len(s0.ids) < 2 and len(s1.ids) < 2:
+    """Raise DegenerateGeometry unless the subtree at ``v`` is strictly valid at beta 1 and
+    beta inf (hence, by nesting, at every beta), from one candidate search per side."""
+    if len(sub.sides[0].ids) < 2 and len(sub.sides[1].ids) < 2:
         return
-    d = DrawingPair(s0.xy.tolist(), s1.xy.tolist(),
-                    s0.rows(s0.edges).tolist(), s1.rows(s1.edges).tolist())
-    for beta in (1.0, BETA_INF):
-        bad = verify(d, beta, "strict").violations
-        if bad:
-            f = bad[0]
-            ids = sub.sides[f.side].ids.tolist()
+    sides = [_side_pairs(a.xy, b.xy, a.rows(a.edges)) for a, b in (sub.sides, sub.sides[::-1])]
+    for report in _reports(sides, (1.0, BETA_INF), "strict", TOL):
+        if report.violations:
+            first = report.violations[0]
             raise DegenerateGeometry(
-                f"subtree at {v} fails strict verification at beta={beta}: "
-                f"{len(bad)} violation(s), first {f.kind} on side {f.side} pair "
-                f"{(ids[f.pair[0]], ids[f.pair[1]])} margin {f.margin:.3e}")
+                f"subtree at {v} fails strict verification at beta={report.beta}: "
+                f"{len(report.violations)} violation(s), first {first.kind} on side {first.side} "
+                f"pair {tuple(sub.sides[first.side].ids[list(first.pair)].tolist())} "
+                f"margin {first.margin:.3e}")
 
 
 def _seq_max(values: np.ndarray, start: float) -> float:
@@ -904,9 +902,7 @@ def lower_strip_ratio(pd: ParallelogramDrawing, eps: float) -> ParallelogramDraw
     """
     if not (isinstance(eps, (int, float)) and math.isfinite(eps) and eps > 0.0):
         raise InvalidEps(f"eps must be a positive real, got {eps!r}")
-    if pd.parallelogram is None:
-        raise MissingAnnotation("drawing carries no parallelogram corners")
-    sigma = strip_ratio(pd)
+    sigma = strip_ratio(pd)  # raises MissingAnnotation without corners
     if sigma < eps:
         return pd
     if pd.parallelogram.a0_id is None or pd.parallelogram.a1_id is None:

@@ -3,7 +3,8 @@
 The extractor is the ground truth: a pair of one side is an edge exactly when
 no vertex of the other side lies in its beta region.  The verifier diffs a
 claimed drawing against that rule.  Every verdict, at one beta or at several,
-comes from one stage, ``_judge``, over one side's ``_side_pairs``.
+comes from one stage, ``_judge``, over one side's ``_side_pairs``, and every
+report from one, ``_reports``, which the construction gates call too.
 """
 from __future__ import annotations
 
@@ -346,8 +347,7 @@ def verify(d: DrawingPair, beta: float, mode: str = "strict",
         raise DegenerateInput(f"unknown mode {mode!r}")
     if not (margin >= 0.0 and math.isfinite(margin)):
         raise DegenerateInput(f"margin must be a finite real >= 0, got {margin!r}")
-    return _report([_judge(p, (beta,), max(TOL, margin))[0] for p in _drawing_sides(d)],
-                   beta, mode, margin)
+    return _reports(_drawing_sides(d), (beta,), mode, margin)[0]
 
 
 def _drawing_sides(d: DrawingPair):
@@ -356,20 +356,24 @@ def _drawing_sides(d: DrawingPair):
             for side in (0, 1)]
 
 
-def _report(verdicts, beta: float, mode: str, margin: float) -> VerificationReport:
-    """``verify`` of a drawing whose sides' ``SideVerdicts`` at ``beta`` are ``verdicts``."""
-    violations: List[Violation] = []
-    borderline: List[Tuple[int, Tuple[int, int], float]] = []
-    for side, v in enumerate(verdicts):
-        near = np.abs(v.depth) <= max(TOL, margin) * v.scale
-        for i in near.nonzero()[0].tolist():
-            borderline.append((side, (v.iu.item(i), v.jv.item(i)), v.depth.item(i)))
-        for i in _violated(v, mode).nonzero()[0].tolist():
-            edge = v.is_edge[i]
-            violations.append(Violation(side, (v.iu.item(i), v.jv.item(i)),
-                                        "ForbiddenWitness" if edge else "MissingWitness",
-                                        v.witness.item(i) if edge else None, v.depth.item(i)))
-    return VerificationReport(mode, beta, tuple(violations), tuple(borderline))
+def _reports(sides: list, betas: Tuple, mode: str, margin: float) -> List[VerificationReport]:
+    """``verify`` at each of ``betas`` of a drawing whose sides' ``_side_pairs`` are ``sides``:
+    one ``_judge`` per side for all betas, then one report per beta."""
+    tol = max(TOL, margin)
+    judged = zip(*(_judge(p, betas, tol) for p in sides))
+    reports = []
+    for beta, verdicts in zip(betas, judged):
+        violations, borderline = [], []
+        for side, v in enumerate(verdicts):
+            for i in (np.abs(v.depth) <= tol * v.scale).nonzero()[0].tolist():
+                borderline.append((side, (v.iu.item(i), v.jv.item(i)), v.depth.item(i)))
+            for i in _violated(v, mode).nonzero()[0].tolist():
+                edge = v.is_edge[i]
+                violations.append(Violation(side, (v.iu.item(i), v.jv.item(i)),
+                                            "ForbiddenWitness" if edge else "MissingWitness",
+                                            v.witness.item(i) if edge else None, v.depth.item(i)))
+        reports.append(VerificationReport(mode, beta, tuple(violations), tuple(borderline)))
+    return reports
 
 
 def _undecided(sides: list, betas: Tuple) -> list:
@@ -405,13 +409,12 @@ def _undecided(sides: list, betas: Tuple) -> list:
 def verify_universal(d: DrawingPair, betas: Optional[Sequence[float]] = None
                      ) -> List[VerificationReport]:
     """Strict-mode ``verify`` at each listed beta (default sample), bit for bit.  Each side
-    drops the pairs beta=1 and beta=inf decide for every beta, and ``_judge`` judges the rest
-    at every beta in one pass; each report is built from its beta's verdicts."""
+    drops the pairs beta=1 and beta=inf decide for every beta, and ``_reports`` judges the
+    rest at every beta in one pass."""
     betas = tuple(DEFAULT_BETAS if betas is None else betas)
     if not (betas and all(b >= 1.0 for b in betas)):  # [], or verify's error at the first beta
         return [verify(d, b) for b in betas]
-    judged = zip(*(_judge(p, betas, TOL) for p in _undecided(_drawing_sides(d), betas)))
-    return [_report(vs, b, "strict", TOL) for b, vs in zip(betas, judged)]
+    return _reports(_undecided(_drawing_sides(d), betas), betas, "strict", TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tree representation, isomorphism, caterpillar and sparse-leaf machinery."""
 from __future__ import annotations
 
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -25,6 +26,15 @@ def as_int(x) -> Optional[int]:
         return operator.index(x)
     except TypeError:
         return None
+
+
+def at_least(x, lo: float, message: str, error: type = InvalidSpec) -> int:
+    """``x`` as a plain ``int`` when it is an integer by ``as_int`` and at least ``lo``.
+    Anything else raises ``error`` with ``message`` and ``x``."""
+    i = as_int(x)
+    if i is None or i < lo:
+        raise error(f"{message}, got {x!r}")
+    return i
 
 
 def vertex_id(x, n: int, what: str = "vertex", error: type = DegenerateInput) -> int:
@@ -410,8 +420,7 @@ def gen_corollary_family(m: int) -> Tuple[RootedTree, SparseLeafSet]:
     two children, one carrying a single leaf and the other two leaves, the
     second of which belongs to the sparse set.
     """
-    if m < 1:
-        raise InvalidSpec("m must be a positive integer")
+    m = at_least(m, 1, "m must be a positive integer")
     edges: List[Tuple[int, int]] = []
     children: Dict[int, List[int]] = {0: []}
     sparse: List[int] = []
@@ -433,10 +442,10 @@ def gen_corollary_family(m: int) -> Tuple[RootedTree, SparseLeafSet]:
 
 def gen_random_tree(n: int, seed: int, max_depth: Optional[int] = None) -> Tree:
     """Uniform random parent attachment, deterministic for a fixed seed."""
-    if n < 1:
-        raise InvalidSpec("n must be positive")
-    if max_depth is not None and max_depth < 1 and n >= 2:
-        raise InvalidSpec(f"max_depth must be at least 1 for n >= 2, got {max_depth}")
+    n = at_least(n, 1, "n must be a positive integer")
+    if max_depth is not None:
+        max_depth = at_least(max_depth, 1 if n >= 2 else -math.inf,
+                             "max_depth must be an integer, at least 1 for n >= 2")
     rng = random.Random(seed)
     depth = {0: 0}
     edges = []
@@ -456,12 +465,10 @@ def gen_random_caterpillar(spine_len: int, leaf_counts: Sequence[int], seed: int
     Vertex labels are shuffled deterministically from the seed, so callers
     exercising the decomposition see nontrivial label layouts.
     """
-    if spine_len < 1:
-        raise InvalidSpec("spine length must be positive")
+    spine_len = at_least(spine_len, 1, "spine length must be a positive integer")
     if len(leaf_counts) != spine_len:
         raise InvalidSpec("need one leaf count per spine vertex")
-    if any(c < 0 for c in leaf_counts):
-        raise InvalidSpec("leaf counts must be nonnegative")
+    leaf_counts = [at_least(c, 0, "leaf counts must be nonnegative integers") for c in leaf_counts]
     n = spine_len + sum(leaf_counts)
     edges = []
     nxt = spine_len

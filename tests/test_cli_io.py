@@ -71,6 +71,20 @@ class TestTreeDocuments:
         with pytest.raises(ParseError, match="'01' repeats vertex 1"):
             tree_from_json(self.path3_json(children_order={"1": [2], "01": [2]}))
 
+    @pytest.mark.parametrize("root, order, message", [
+        (None, {"1": [0]}, r"child order \[0\] of vertex 1 is not a permutation of its children"),
+        (2, {"1": [2]}, r"child order \[2\] of vertex 1 is not a permutation of its children"),
+        (None, {"0": [1, 1]}, "of vertex 0 is not a permutation"),
+        (None, {"2": [1]}, "of vertex 2 is not a permutation"),
+    ])
+    def test_children_order_must_fit_the_rooted_tree(self, root, order, message):
+        """The tree is rooted at parse time, at ``root`` or at 0, so an order that is not
+        its key's children fails here, naming the field, not later in ``draw``."""
+        with pytest.raises(ParseError, match=f"field 'children_order' does not fit .*{message}"):
+            tree_from_json(self.path3_json(root=root, children_order=order))
+        assert tree_from_json(self.path3_json(root=2, children_order={"1": [0]})).rooted(
+        ).children[1] == (0,)
+
     @pytest.mark.parametrize("fields, message", [
         ({"n": True, "edges": []}, "field 'n'"),
         ({"edges": [[0, 1], [True, 2]]}, "edge #1"),

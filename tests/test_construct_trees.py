@@ -3,12 +3,15 @@ import random
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from mwtrees import construct
 from mwtrees.construct import draw_pruned_tree_pair, draw_tree_pair, lower_strip_ratio
 from mwtrees.errors import DegenerateGeometry, InvalidEps, MissingAnnotation, NotIsomorphic
 from mwtrees.geometry import BETA_INF, Point
 from mwtrees.proximity import (
+    DrawingPair,
     check_parallelogram_drawing,
     strip_ratio,
     verify,
@@ -200,12 +203,13 @@ class TestGolden:
             assert got == TREE_GOLDEN[name], name
             assert all(type(i) is int for i in got[2]), name
 
-    def test_pruned_m11_gate_message(self):
+    @pytest.mark.parametrize("m, message", [
+        (11, "3 violation(s), first MissingWitness on side 0 pair (0, 3) margin 3.166e-04"),
+        (12, "7 violation(s), first MissingWitness on side 0 pair (0, 2) margin 4.151e-04")])
+    def test_pruned_gate_message(self, m, message):
         with pytest.raises(DegenerateGeometry) as err:
-            draw_pruned_tree_pair(*gen_corollary_family(11))
-        assert str(err.value) == (
-            "subtree at 0 fails strict verification at beta=1.0: 3 violation(s), "
-            "first MissingWitness on side 0 pair (0, 3) margin 3.166e-04")
+            draw_pruned_tree_pair(*gen_corollary_family(m))
+        assert str(err.value) == f"subtree at 0 fails strict verification at beta=1.0: {message}"
 
     def test_deep_path_fails_fast(self):
         t = gen_random_caterpillar(1100, [0] * 1100, 3)
@@ -220,3 +224,64 @@ class TestGolden:
         with pytest.raises(DegenerateGeometry) as err:
             draw_tree_pair(path, path)
         assert str(err.value) == "coordinate dynamic range exceeds 1e12"
+
+
+class TestGate:
+    """The per-level gate judges beta=1 and beta=inf together, from one candidate
+    search per side on the level's own arrays."""
+
+    @pytest.mark.parametrize("tree", ["depth3-n40", "pruned-m3"])
+    def test_one_search_per_side_and_level(self, monkeypatch, tree):
+        calls = {"search": 0, "levels": 0, "drawings": 0}
+        inside = []
+
+        def counted(name, key, when=lambda *a: True):
+            real = getattr(construct, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += when(*args)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(construct, name, wrapper)
+
+        counted("_side_pairs", "search")
+        counted("_gate_sub", "levels", lambda sub, v: max(len(s.ids) for s in sub.sides) >= 2)
+        real_build, real_post = construct._build_levels, DrawingPair.__post_init__
+
+        def build(*args):
+            inside.append(True)
+            try:
+                return real_build(*args)
+            finally:
+                inside.pop()
+
+        def post_init(d):
+            calls["drawings"] += bool(inside)
+            real_post(d)
+        monkeypatch.setattr(construct, "_build_levels", build)
+        monkeypatch.setattr(DrawingPair, "__post_init__", post_init)
+
+        if tree == "pruned-m3":
+            rt, leaves = gen_corollary_family(3)
+            d = draw_pruned_tree_pair(rt, leaves)
+        else:
+            rt = RootedTree.from_tree(gen_random_tree(40, 2, 3), 0)
+            d = draw_tree_pair(rt, rt)
+            assert calls["levels"] == sum(1 for kids in rt.children if kids)
+        assert calls["levels"] >= 4 and calls["search"] == 2 * calls["levels"]
+        assert calls["drawings"] == 0
+        assert all(rep.ok for rep in verify_universal(d, (1.0, BETA_INF)))
+        assert not hasattr(construct, "verify")
+
+    def test_beta_inf_message_names_vertex_ids(self):
+        """A level clear at beta=1 whose edge has an opposite point in its beta=inf strip;
+        ids are not rows: side 0 holds vertices 3 and 7, side 1 vertices 4 and 8."""
+        sides = (construct._Side(np.array([3, 7]), np.array([[0.0, 0.0], [2.0, 0.0]]),
+                                 np.array([[7, 3]])),
+                 construct._Side(np.array([4, 8]), np.array([[1.0, 1.5], [1.0, 40.0]]),
+                                 np.array([[8, 4]])))
+        sub = construct._Sub(sides, *construct._CANON, None, None, 3, 4)
+        with pytest.raises(DegenerateGeometry) as err:
+            construct._gate_sub(sub, 9)
+        assert str(err.value) == (
+            "subtree at 9 fails strict verification at beta=inf: 1 violation(s), "
+            "first ForbiddenWitness on side 0 pair (3, 7) margin 1.000e+00")

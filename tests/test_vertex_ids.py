@@ -21,10 +21,23 @@ from mwtrees.construct import (
     draw_star_pair,
     redraw_pruned_stars,
 )
-from mwtrees.errors import DegenerateInput, EmptyKeepSet, InvalidLeafSet, ParseError
+from mwtrees.errors import (
+    DegenerateInput,
+    EmptyKeepSet,
+    InvalidLeafSet,
+    InvalidSpec,
+    ParseError,
+)
 from mwtrees.geometry import Point
 from mwtrees.proximity import DrawingPair, ParallelogramAnnotation, side_verdicts
-from mwtrees.tree_model import RootedTree, Tree, gen_corollary_family, is_sparse
+from mwtrees.tree_model import (
+    RootedTree,
+    Tree,
+    gen_corollary_family,
+    gen_random_caterpillar,
+    gen_random_tree,
+    is_sparse,
+)
 
 PATH = Tree(3, ((0, 1), (1, 2)))  # rooted at 0, vertex 1 has the one child 2
 PTS = [(0, 0), (1, 0), (2, 1)]
@@ -56,6 +69,38 @@ ENTRY_POINTS = {
                                   lambda x: compute_safe_perturbation(STAR.drawing, {x}, {1})),
     "redraw_pruned_stars": (EmptyKeepSet, 4, lambda x: redraw_pruned_stars(STAR, [x, 2], [1, 2])),
 }
+
+
+# (integer argument, its function's error class, call with the argument replaced by ``x``,
+# the smallest value it takes)
+INT_ARGUMENTS = {
+    "draw_star_pair k": (DegenerateInput, draw_star_pair, 0),
+    "gen_corollary_family m": (InvalidSpec, gen_corollary_family, 1),
+    "gen_random_tree n": (InvalidSpec, lambda x: gen_random_tree(x, 1), 1),
+    "gen_random_tree max_depth": (InvalidSpec, lambda x: gen_random_tree(4, 1, x), 1),
+    "gen_random_caterpillar spine_len": (InvalidSpec,
+                                         lambda x: gen_random_caterpillar(x, [2], 1), 1),
+    "gen_random_caterpillar leaf count": (InvalidSpec,
+                                          lambda x: gen_random_caterpillar(2, [1, x], 1), 0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INT_ARGUMENTS))
+def test_integer_arguments_follow_the_id_rule(entry):
+    """Counts and sizes are integers by ``as_int`` too: floats and booleans raise the
+    function's own error, naming the value; numpy integers act as plain ``int``."""
+    error, call, least = INT_ARGUMENTS[entry]
+    for bad in (2.5, float(least + 1), np.float64(least + 1), True, False, least - 1, "2"):
+        with pytest.raises(error) as err:
+            call(bad)
+        assert repr(bad) in str(err.value), (bad, str(err.value))
+    assert call(np.int64(least)) == call(least)
+
+
+def test_gen_random_tree_keeps_any_integer_max_depth_for_one_vertex():
+    assert gen_random_tree(1, 5, -3) == gen_random_tree(1, 5) == Tree(1, ())
+    with pytest.raises(InvalidSpec, match="max_depth"):
+        gen_random_tree(1, 5, 0.5)
 
 
 def bad_ids(n):
@@ -141,10 +186,8 @@ def test_tree_documents_keep_their_json_paths(field, path, bad):
     value = {"edges": [[0, 1], [bad, 2]], "root": bad, "sparse_leaves": [bad],
              "children_order": {"1": [bad]}}[field]
     if field == "children_order" and bad in (-1, 3):
-        # an integer child parses; rooting the tree checks it against the tree
-        with pytest.raises(DegenerateInput, match=f"vertex 1's child {bad} "):
-            tree_from_json(tree_json(children_order=value)).rooted()
-        return
+        # an integer child passes the field's own check; rooting the tree at parse rejects it
+        path = f"field 'children_order' does not fit the tree: vertex 1's child {bad} "
     with pytest.raises(ParseError, match=path):
         tree_from_json(tree_json(**{field: value}))
 
