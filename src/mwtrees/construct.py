@@ -22,6 +22,7 @@ stages' closed check at beta 1 of their arrays.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -415,25 +416,21 @@ def draw_caterpillar_pair(cat: CaterpillarDecomposition) -> DrawingPair:
 # ---------------------------------------------------------------------------
 
 class _Side(NamedTuple):
-    """One side of a subtree drawing: increasing vertex ids, their points
-    (one row each, in id order) and the edges as vertex-id pairs."""
+    """One side of a subtree drawing, its rows in pre-order of the ordered
+    subtree: row 0 is the subtree root, then each child's block in child
+    order.  ``xy`` holds one point per row and ``edges`` pairs of rows;
+    ``ids`` maps rows to vertex ids, for corner ids, messages and outputs."""
 
     ids: np.ndarray
     xy: np.ndarray
     edges: np.ndarray
 
-    def rows(self, vids):
-        return np.searchsorted(self.ids, vids)
-
-    def moved(self, vid: int, p: Point) -> "_Side":
-        xy = self.xy.copy()
-        xy[self.rows(vid)] = p
-        return self._replace(xy=xy)
-
 
 @dataclass(frozen=True)
 class _Sub:
-    """Subtree drawing in its own frame, with corner annotations."""
+    """Subtree drawing in its own frame, with corner annotations: the roots,
+    row 0 of each side, sit at ``a0`` and ``a1``, and ``b0_id``/``b1_id``
+    name the vertices at the inner corners (None for a single vertex)."""
 
     sides: Tuple[_Side, _Side]
     a0: Point
@@ -442,8 +439,6 @@ class _Sub:
     b1: Point
     b0_id: Optional[int]
     b1_id: Optional[int]
-    root0: int
-    root1: int
 
     def width(self) -> float:
         return self.a1.x - self.a0.x
@@ -457,14 +452,18 @@ def _gate_sub(sub: _Sub, v: int) -> None:
     beta inf (hence, by nesting, at every beta), from one candidate search per side."""
     if len(sub.sides[0].ids) < 2 and len(sub.sides[1].ids) < 2:
         return
-    sides = [_side_pairs(a.xy, b.xy, a.rows(a.edges)) for a, b in (sub.sides, sub.sides[::-1])]
-    for report in _reports(sides, (1.0, BETA_INF), "strict", TOL):
+    sides = [_side_pairs(a.xy, b.xy, a.edges) for a, b in (sub.sides, sub.sides[::-1])]
+    try:
+        reports = _reports(sides, (1.0, BETA_INF), "strict", TOL)
+    except DegenerateInput as err:  # coincident points the construction made
+        raise DegenerateGeometry(f"subtree at {v}: {err}") from err
+    for report in reports:
         if report.violations:
             first = report.violations[0]
             raise DegenerateGeometry(
                 f"subtree at {v} fails strict verification at beta={report.beta}: "
                 f"{len(report.violations)} violation(s), first {first.kind} on side {first.side} "
-                f"pair {tuple(sub.sides[first.side].ids[list(first.pair)].tolist())} "
+                f"pair {tuple(sorted(sub.sides[first.side].ids[list(first.pair)].tolist()))} "
                 f"margin {first.margin:.3e}")
 
 
@@ -496,31 +495,26 @@ def _proj(g: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 class _Stack(NamedTuple):
     """One side of a level's children, stacked in child order: vertex ids,
-    points, edges as pairs of rows and as ``_edge_geom`` rows, the rows of
-    the child roots, and the first point and first edge row of each child
-    with the totals appended."""
+    points, edges as pairs of rows and as ``_edge_geom`` rows, and the first
+    row (the child's root) and first edge row of each child with the totals
+    appended."""
 
     ids: np.ndarray
     xy: np.ndarray
     rows: np.ndarray
     geom: np.ndarray
-    roots: np.ndarray
     at: List[int]
     edge_at: List[int]
 
 
-def _stack(sides: List[_Side], roots: List[int], scale: List[float],
-           shift: List[Tuple[float, float]]) -> _Stack:
+def _stack(sides: List[_Side], scale: List[float], shift: List[Tuple[float, float]]) -> _Stack:
     """Stack the children's sides, child ``j`` scaled by ``scale[j]`` and
     then shifted by ``shift[j]``."""
-    ids = np.concatenate([side.ids for side in sides])
+    at = list(accumulate((len(side.ids) for side in sides), initial=0))
     xy = np.concatenate([s * side.xy + t for side, s, t in zip(sides, scale, shift)])
-    order = np.argsort(ids)
-    rows = order[np.searchsorted(ids, np.concatenate([side.edges for side in sides]),
-                                 sorter=order)]
-    return _Stack(ids, xy, rows, _edge_geom(xy[rows[:, 0]], xy[rows[:, 1]]),
-                  order[np.searchsorted(ids, roots, sorter=order)],
-                  list(accumulate((len(side.ids) for side in sides), initial=0)),
+    rows = np.concatenate([side.edges + a for side, a in zip(sides, at)])
+    return _Stack(np.concatenate([side.ids for side in sides]), xy, rows,
+                  _edge_geom(xy[rows[:, 0]], xy[rows[:, 1]]), at,
                   list(accumulate((len(side.edges) for side in sides), initial=0)))
 
 
@@ -530,8 +524,7 @@ def _xform_corners(sub: _Sub, s: float, tx: float, ty: float) -> _Sub:
     def f(p: Point) -> Point:
         return Point(s * p.x + tx, s * p.y + ty)
 
-    return _Sub((), f(sub.a0), f(sub.b0), f(sub.a1), f(sub.b1),
-                sub.b0_id, sub.b1_id, sub.root0, sub.root1)
+    return _Sub((), f(sub.a0), f(sub.b0), f(sub.a1), f(sub.b1), sub.b0_id, sub.b1_id)
 
 
 def _place_children(subs: List[_Sub]) -> Tuple[List[_Sub], Tuple[_Stack, _Stack]]:
@@ -547,9 +540,7 @@ def _place_children(subs: List[_Sub]) -> Tuple[List[_Sub], Tuple[_Stack, _Stack]
     """
     scale = [1.0 / sub.height() for sub in subs]
     shift = [(-sub.a0.x * s, -sub.a1.y * s) for sub, s in zip(subs, scale)]
-    stacks = tuple(_stack([sub.sides[i] for sub in subs],
-                          [sub.root1 if i else sub.root0 for sub in subs], scale, shift)
-                   for i in (0, 1))
+    stacks = tuple(_stack([sub.sides[i] for sub in subs], scale, shift) for i in (0, 1))
     st0, st1 = stacks
     placed = [_xform_corners(sub, s, tx, ty) for sub, s, (tx, ty) in zip(subs, scale, shift)]
     lower = np.concatenate([np.full((len(sub.sides[0].ids), 2), kid.a1)
@@ -637,10 +628,10 @@ def _root_levels(placed: List[_Sub], stacks: Tuple[_Stack, _Stack],
     st0, st1 = stacks
 
     # slab exclusion for the edges from the upper root to the child roots
-    xj = st0.xy[st0.roots, :1]
+    xj = st0.xy[st0.at[:-1], :1]
     h_slab0 = _seq_max((st1.xy[:, 0] - xj) * (l0x - xj) / (1.0 - st1.xy[:, 1]), 0.0)
     # mirrored for the lower root
-    xj = st1.xy[st1.roots, :1]
+    xj = st1.xy[st1.at[:-1], :1]
     h_slab1 = _seq_max((st0.xy[:, 0] - xj) * (l1x - xj) / st0.xy[:, 1], 0.0)
 
     # witness depth for non-adjacent pairs of the upper root
@@ -649,7 +640,7 @@ def _root_levels(placed: List[_Sub], stacks: Tuple[_Stack, _Stack],
         if w1_point is None and sub.b1_id is None:
             continue
         b = sub.b1 if w1_point is None else w1_point
-        v = st0.xy[st0.at[j]:st0.at[j + 1]][st0.ids[st0.at[j]:st0.at[j + 1]] != sub.root0]
+        v = st0.xy[st0.at[j] + 1:st0.at[j + 1]]  # the child's side 0 but its root
         bnum = v[:, 1] - b.y
         if (bnum >= 0.0).any():
             raise DegenerateGeometry("side-0 vertex at or above its b1 corner" if w1_point is None
@@ -661,7 +652,7 @@ def _root_levels(placed: List[_Sub], stacks: Tuple[_Stack, _Stack],
         if sub.b0_id is None:
             continue
         b = sub.b0
-        v = st1.xy[st1.at[j]:st1.at[j + 1]][st1.ids[st1.at[j]:st1.at[j + 1]] != sub.root1]
+        v = st1.xy[st1.at[j] + 1:st1.at[j + 1]]
         bnum = v[:, 1] - b.y
         if (bnum <= 0.0).any():
             raise DegenerateGeometry("side-1 vertex at or below its b0 corner")
@@ -677,7 +668,7 @@ def _root_levels(placed: List[_Sub], stacks: Tuple[_Stack, _Stack],
     h_contain = span / math.tan(alpha / 2.0)
 
     elev = max(h_slab0, h_slab1, z2_0 - 1.0, -z2_1, h_contain - 1.0, 0.0)
-    elev = 1.05 * elev + 1.0
+    elev = 1.05 * elev
     info = {
         "L0x": l0x, "L1x": l1x,
         "h_slab": (h_slab0, h_slab1),
@@ -696,8 +687,8 @@ def _choose_rotation(placed: List[_Sub], stacks: Tuple[_Stack, _Stack],
                      edges: List[np.ndarray], p0: Point, p1: Point) -> Tuple[Point, Dict]:
     """Direction that becomes horizontal, satisfying all post-rotation checks."""
     st0, st1 = stacks
-    r00 = Point(*st0.xy[st0.roots[0]].tolist())
-    r1m = Point(*st1.xy[st1.roots[-1]].tolist())
+    r00 = Point(*st0.xy[0].tolist())
+    r1m = Point(*st1.xy[st1.at[-2]].tolist())
     base = vsub(p1, r00)
     gamma = min(angle_at(p1, r00, placed[0].b0), angle_at(p0, r1m, placed[-1].b1))
     # Start close to the bound: the rotation angle controls the aspect ratio
@@ -752,7 +743,7 @@ def _assemble_level(subs: List[_Sub], root0: int, root1: int, *, w1_mode: bool =
         p0 = Point(l0x, 1.0 + elev)
         p1 = Point(l1x, -elev)
         # each side's edges: the children's, then the new root's
-        edges = [np.concatenate([st.geom, _edge_geom(p, st.xy[st.roots])])
+        edges = [np.concatenate([st.geom, _edge_geom(p, st.xy[st.at[:-1]])])
                  for st, p in zip(stacks, (p0, p1))]
         if _roots_clear_of_slabs(edges, p0, p1):
             break
@@ -763,16 +754,12 @@ def _assemble_level(subs: List[_Sub], root0: int, root1: int, *, w1_mode: bool =
     f, rot_info = _choose_rotation(placed, stacks, edges, p0, p1)
     theta = -math.atan2(f.y, f.x)
 
-    # merge the new roots and the children, rows in vertex-id order
-    merged = []
-    for st, root, p, kids in ((stacks[0], root0, p0, [s.root0 for s in placed]),
-                              (stacks[1], root1, p1, [s.root1 for s in placed])):
-        ids = np.concatenate([[root], st.ids])
-        order = np.argsort(ids)
-        merged.append(_Side(ids[order], np.concatenate([[p], st.xy])[order],
-                            np.concatenate([st.ids[st.rows], [(root, k) for k in kids]])))
+    # each side's rows: the new root, then the children's blocks
+    merged = [_Side(np.concatenate([[root], st.ids]), np.concatenate([[p], st.xy]),
+                    np.concatenate([st.rows + 1, [(0, k + 1) for k in st.at[:-1]]]))
+              for st, root, p in zip(stacks, (root0, root1), (p0, p1))]
 
-    # rotate about the centroid of all points, summed in order as floats
+    # rotate about the centroid of all points, summed in row order as floats
     xy = np.concatenate([merged[0].xy, merged[1].xy])
     cx = sum(xy[:, 0].tolist()) / len(xy)
     cy = sum(xy[:, 1].tolist()) / len(xy)
@@ -786,12 +773,11 @@ def _assemble_level(subs: List[_Sub], root0: int, root1: int, *, w1_mode: bool =
     n0 = len(merged[0].ids)
     side0, side1 = merged[0]._replace(xy=xy[:n0]), merged[1]._replace(xy=xy[n0:])
 
-    b0_id = placed[0].root0
-    b1_id = placed[-1].root1
+    st0, st1 = stacks
     # the same float operations on the corner points as on their rows
     a0p, a1p = Point(*rotated(*p0)), Point(*rotated(*p1))
-    b0p = Point(*rotated(*stacks[0].xy[stacks[0].roots[0]].tolist()))
-    b1p = Point(*rotated(*stacks[1].xy[stacks[1].roots[-1]].tolist()))
+    b0p = Point(*rotated(*st0.xy[0].tolist()))
+    b1p = Point(*rotated(*st1.xy[st1.at[-2]].tolist()))
     if not (a0p.y > b1p.y > b0p.y > a1p.y and
             a0p.x < b0p.x < b1p.x < a1p.x):
         raise DegenerateGeometry("rotated corners lost the required ordering")
@@ -804,15 +790,14 @@ def _assemble_level(subs: List[_Sub], root0: int, root1: int, *, w1_mode: bool =
             "offsets": [s.a0.x for s in placed],
         })
 
-    return _Sub((side0, side1), a0p, b0p, a1p, b1p, b0_id, b1_id, root0, root1)
+    return _Sub((side0, side1), a0p, b0p, a1p, b1p, st0.ids.item(0), st1.ids.item(st1.at[-2]))
 
 
 def _canon_sub(v0: int, v1: int) -> _Sub:
     a0, b0, a1, b1 = _CANON
     no_edges = np.empty((0, 2), dtype=int)
     return _Sub((_Side(np.array([v0]), np.array([a0]), no_edges),
-                 _Side(np.array([v1]), np.array([a1]), no_edges)),
-                a0, b0, a1, b1, None, None, v0, v1)
+                 _Side(np.array([v1]), np.array([a1]), no_edges)), a0, b0, a1, b1, None, None)
 
 
 def _build_levels(rt: RootedTree, v: int, split: Callable[[int], bool],
@@ -841,6 +826,13 @@ def _build_tree_sub(rt: RootedTree, v: int, side1: Callable[[int], int],
         lambda u, subs: _assemble_level(subs, u, side1(u), trace_log=trace_log))
 
 
+def _points_by_id(side: _Side) -> list:
+    """The side's points placed at their ids, a permutation of ``range(len(ids))``."""
+    out = np.empty_like(side.xy)
+    out[side.ids] = side.xy
+    return out.tolist()
+
+
 def _check_dynamic_range(sub: _Sub) -> None:
     points = sub.sides[0].xy.tolist() + sub.sides[1].xy.tolist()
     min_d = _min_pair_distance(points)
@@ -863,7 +855,7 @@ def draw_tree_pair(rt0: RootedTree, rt1: RootedTree) -> ParallelogramDrawing:
         a0_id=rt0.root, b0_id=sub.b0_id, a1_id=rt1.root, b1_id=sub.b1_id)
     edges1 = tuple((mapping[a], mapping[b]) for a, b in rt0.tree.edges)
     trace = ConstructionTrace({"kind": "tree", "levels": levels})
-    return DrawingPair(sub.sides[0].xy.tolist(), sub.sides[1].xy.tolist(),
+    return DrawingPair(*map(_points_by_id, sub.sides),
                        rt0.tree.edges, edges1, parallelogram=ann, trace=trace)
 
 
@@ -880,17 +872,21 @@ def _lower_sub(sub: _Sub, t: float) -> _Sub:
     u1 = unit(vsub(sub.a1, sub.b1))
     na0 = Point(sub.a0.x + t * u0.x, sub.a0.y + t * u0.y)
     na1 = Point(sub.a1.x + t * u1.x, sub.a1.y + t * u1.y)
-    sides = (sub.sides[0].moved(sub.root0, na0), sub.sides[1].moved(sub.root1, na1))
+    sides = tuple(side._replace(xy=np.concatenate([[p], side.xy[1:]]))
+                  for side, p in zip(sub.sides, (na0, na1)))
     return replace(sub, sides=sides, a0=na0, a1=na1)
 
 
 def _sub_from_drawing(d: DrawingPair) -> _Sub:
+    """The annotated drawing with rows in id order, but for its roots swapped into row 0."""
     ann = d.parallelogram
-    sides = tuple(_Side(np.arange(len(pts)), np.array(pts, dtype=float),
-                        np.array(edges, dtype=int).reshape(-1, 2))
-                  for pts, edges in ((d.points0, d.edges0), (d.points1, d.edges1)))
-    return _Sub(sides, ann.a0, ann.b0, ann.a1, ann.b1,
-                ann.b0_id, ann.b1_id, ann.a0_id, ann.a1_id)
+    sides = []
+    for pts, edges, root in ((d.points0, d.edges0, ann.a0_id), (d.points1, d.edges1, ann.a1_id)):
+        ids = np.arange(len(pts))
+        ids[[0, root]] = root, 0  # a swap, its own inverse: also each id's row
+        sides.append(_Side(ids, np.array(pts, dtype=float)[ids],
+                           ids[np.array(edges, dtype=int).reshape(-1, 2)]))
+    return _Sub(tuple(sides), ann.a0, ann.b0, ann.a1, ann.b1, ann.b0_id, ann.b1_id)
 
 
 def lower_strip_ratio(pd: ParallelogramDrawing, eps: float) -> ParallelogramDrawing:
@@ -900,8 +896,10 @@ def lower_strip_ratio(pd: ParallelogramDrawing, eps: float) -> ParallelogramDraw
     drawing, which only widens the clearances of the root-incident pairs;
     a verification pass guards the result.
     """
-    if not (isinstance(eps, (int, float)) and math.isfinite(eps) and eps > 0.0):
+    if not (isinstance(eps, numbers.Real) and not isinstance(eps, bool)
+            and math.isfinite(eps) and eps > 0.0):
         raise InvalidEps(f"eps must be a positive real, got {eps!r}")
+    eps = float(eps)
     sigma = strip_ratio(pd)  # raises MissingAnnotation without corners
     if sigma < eps:
         return pd
@@ -919,10 +917,10 @@ def lower_strip_ratio(pd: ParallelogramDrawing, eps: float) -> ParallelogramDraw
     cand = _lower_sub(sub, t)
     if not _sub_ratio(cand) < eps:
         raise DegenerateGeometry(f"lowered strip ratio {_sub_ratio(cand)!r} is not below {eps!r}")
-    _gate_sub(cand, sub.root0)
+    _gate_sub(cand, pd.parallelogram.a0_id)
     new_ann = replace(pd.parallelogram, a0=cand.a0, a1=cand.a1)
-    return replace(pd, points0=cand.sides[0].xy.tolist(), points1=cand.sides[1].xy.tolist(),
-                   parallelogram=new_ann)
+    points0, points1 = map(_points_by_id, cand.sides)
+    return replace(pd, points0=points0, points1=points1, parallelogram=new_ann)
 
 
 # ---------------------------------------------------------------------------
@@ -931,9 +929,7 @@ def lower_strip_ratio(pd: ParallelogramDrawing, eps: float) -> ParallelogramDraw
 
 def _side0_band_top(sub: _Sub) -> float:
     """Largest normalized height of a side-0 non-root vertex."""
-    h = sub.height()
-    side = sub.sides[0]
-    return _seq_max((side.xy[side.ids != sub.root0, 1] - sub.a1.y) / h, -math.inf)
+    return _seq_max((sub.sides[0].xy[1:, 1] - sub.a1.y) / sub.height(), -math.inf)
 
 
 def _prep_strip_ratios(subs: List[_Sub]) -> List[_Sub]:
@@ -969,9 +965,9 @@ def _prep_strip_ratios(subs: List[_Sub]) -> List[_Sub]:
 def _delete_side1(sub: _Sub, gone: Set[int]) -> _Sub:
     side = sub.sides[1]
     keep = np.array([v not in gone for v in side.ids.tolist()], dtype=bool)
-    kept = np.array([a not in gone and b not in gone for a, b in side.edges.tolist()], dtype=bool)
-    return replace(sub, sides=(sub.sides[0], _Side(side.ids[keep], side.xy[keep],
-                                                   side.edges[kept])))
+    row = np.cumsum(keep) - 1  # each kept row's new row
+    edges = side.edges[keep[side.edges].all(axis=1)]
+    return replace(sub, sides=(sub.sides[0], _Side(side.ids[keep], side.xy[keep], row[edges])))
 
 
 def _build_pruned_sub(rt: RootedTree, v: int, members: frozenset,
@@ -1007,17 +1003,17 @@ def draw_pruned_tree_pair(rt: RootedTree, leaf_set) -> DrawingPair:
     sub = _build_pruned_sub(rt_ord, rt_ord.root, members, levels)
 
     side0, side1 = sub.sides
-    relabel = {v: i for i, v in enumerate(side1.ids.tolist())}
+    out1 = np.searchsorted(np.sort(side1.ids), side1.ids)  # each side-1 row's output id
+    relabel = dict(sorted(zip(side1.ids.tolist(), out1.tolist())))
     _check_dynamic_range(sub)
     ann = ParallelogramAnnotation(
         sub.a0, sub.b0, sub.a1, sub.b1,
-        a0_id=rt.root, b0_id=sub.b0_id,
-        a1_id=relabel[sub.root1], b1_id=relabel[sub.b1_id])
+        a0_id=rt.root, b0_id=sub.b0_id, a1_id=out1.item(0), b1_id=relabel[sub.b1_id])
     trace = ConstructionTrace({
         "kind": "pruned",
         "levels": levels,
         "removed": sorted(members),
         "side1_relabel": {str(k): v for k, v in relabel.items()},
     })
-    return DrawingPair(side0.xy.tolist(), side1.xy.tolist(), rt.tree.edges,
-                       side1.rows(side1.edges).tolist(), parallelogram=ann, trace=trace)
+    return DrawingPair(_points_by_id(side0), _points_by_id(side1._replace(ids=out1)),
+                       rt.tree.edges, out1[side1.edges].tolist(), parallelogram=ann, trace=trace)

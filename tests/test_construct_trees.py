@@ -1,7 +1,9 @@
 import hashlib
+import math
 import random
 import time
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from mwtrees.proximity import (
 )
 from mwtrees.tree_model import (
     RootedTree,
+    SparseLeafSet,
     Tree,
     gen_corollary_family,
     gen_random_caterpillar,
@@ -146,11 +149,19 @@ class TestStripRatio:
         with pytest.raises(MissingAnnotation, match="a0 or a1"):
             lower_strip_ratio(d, 0.01)
 
-    def test_bad_eps(self):
+    @pytest.mark.parametrize("eps", [0.0, -1.0, True, False, math.nan, math.inf, "0.01", None,
+                                     np.True_, 1j])
+    def test_bad_eps(self, eps):
         with pytest.raises(InvalidEps):
-            lower_strip_ratio(self.d, 0.0)
-        with pytest.raises(InvalidEps):
-            lower_strip_ratio(self.d, -1.0)
+            lower_strip_ratio(self.d, eps)
+
+    @pytest.mark.parametrize("eps", [np.float32(0.01), Fraction(1, 100), np.float64(0.01)])
+    def test_eps_any_real(self, eps):
+        out = lower_strip_ratio(self.d, eps)
+        assert strip_ratio(out) < eps
+        assert_universal(out)
+        if float(eps) == 0.01:
+            assert out == lower_strip_ratio(self.d, 0.01)
 
 
 def _golden_drawings():
@@ -161,30 +172,32 @@ def _golden_drawings():
             "depth3-ratio0.01": lower_strip_ratio(d3, 0.01)}
 
 
-# Reference values computed with the per-point (dict of Point) construction:
-# name -> (sha256 of the float.hex points, edges and trace, float.hex
-# annotation corners, corner ids).
+# Reference values of the construction with rows in pre-order of the ordered
+# subtree: name -> (sha256 of the float.hex points, edges and trace, float.hex
+# annotation corners, corner ids).  Each drawing passes verify_universal at
+# DEFAULT_BETAS and reproduces its edges by extract_mw_graphs at beta=1 open and
+# beta=inf closed.
 TREE_GOLDEN = {
     "depth3": (
-        "7fc10f0990c54bf8aaa0d93cd19576a999f4b9172c40bce23488bc94e845b170",
-        ["-0x1.da52b56c3da39p+0", "0x1.d79b60b9c816fp+1", "-0x1.94167419c1892p-4",
-         "0x1.91f909f76f282p-2", "0x1.0be120dfe69b8p+2", "-0x1.5794324f1d803p+1",
-         "0x1.37399aaa7c719p+1", "0x1.372034aef2c74p-1"], (0, 1, 0, 1)),
+        "f7fa32f9fcf81930ae3a098a8a7c6fdbb150428cab8f370b5d5d508edfb0e1b7",
+        ["-0x1.5b322b64fad89p+0", "0x1.695cd15e61c9dp+1", "-0x1.98cd271fcd892p-4",
+         "0x1.9ffe67b07ed66p-2", "0x1.d7c633b1139b1p+1", "-0x1.d2aca2e465078p+0",
+         "0x1.36f38737949b1p+1", "0x1.301acbd87dad1p-1"], (0, 1, 0, 1)),
     "depth5": (
-        "6f6a70864ad71f659459750d19716c6d667aedf80fdf3af7fa77e969a23dbcaf",
-        ["-0x1.5b80436f49519p+8", "0x1.31013179887fbp+7", "0x1.5f596378625a0p+1",
-         "-0x1.0f3f263ccfa46p+2", "0x1.676941191bb1cp+8", "-0x1.2a2928a761bddp+7",
-         "0x1.25495c5c336dep+3", "0x1.ea404081a7e12p+2"], (0, 1, 0, 20)),
+        "eeff175e5544b56f46609697b25c21e3a63a9d1d145ee4e75a4c93b895d3a2d9",
+        ["-0x1.5ec96982e16c4p+8", "0x1.33e8397aa2aeap+7", "0x1.5ffc9c0ff03ddp+1",
+         "-0x1.0fbbbb3979c67p+2", "0x1.6ab4d02c5da5dp+8", "-0x1.2d180d8877216p+7",
+         "0x1.256dae2b8b232p+3", "0x1.e9c1397eeb6ddp+2"], (0, 1, 0, 20)),
     "pruned-m2": (
-        "e59ba9d0c41d12ad284cc292862a60a5b961605bcccc98b033f4b4edb473fdfa",
-        ["-0x1.c53eb67d83be1p+11", "0x1.e8db4ebd701fep+10", "0x1.51f56aad7984fp-2",
-         "-0x1.1b4b4351aa379p-1", "0x1.c59c9cc49003cp+11", "-0x1.e89b17f62ebdep+10",
-         "0x1.4d5a6edb67bc5p+1", "0x1.8e80beae5cdcep+0"], (0, 1, 0, 6)),
+        "0c6ddaf5f2bdcaf623891983e11d0074e3fe752b3ccbe589f2b572f9c8f77fe5",
+        ["-0x1.cb3f92e1de38ep+11", "0x1.f105cbb4a0f6bp+10", "0x1.4fde49dc72ae2p-2",
+         "-0x1.19fca7a0ff3d8p-1", "0x1.cb9d66f73077cp+11", "-0x1.f0c598d89539cp+10",
+         "0x1.4d548c0d6d0b9p+1", "0x1.8dc9c3ff738cbp+0"], (0, 1, 0, 6)),
     "depth3-ratio0.01": (
-        "6b5185eaea63a32d2f45d535db938615a7a25c8515757c7ea71f77a6e93d240f",
-        ["-0x1.73cf249be1788p+3", "0x1.602ff7f6c3a96p+4", "-0x1.94167419c1892p-4",
-         "0x1.91f909f76f282p-2", "0x1.be755e5e4d11cp+3", "-0x1.502f12296e568p+4",
-         "0x1.37399aaa7c719p+1", "0x1.372034aef2c74p-1"], (0, 1, 0, 1)),
+        "f6c106b9f4d63c4eae6b8803c5b510b2695a04db238c71ded32fd613ecdb0be0",
+        ["-0x1.3d041cfd2de39p+3", "0x1.3456a2ff85824p+4", "-0x1.98cd271fcd892p-4",
+         "0x1.9ffe67b07ed66p-2", "0x1.878f647cd36f4p+3", "-0x1.2455d301ff998p+4",
+         "0x1.36f38737949b1p+1", "0x1.301acbd87dad1p-1"], (0, 1, 0, 1)),
 }
 
 
@@ -204,8 +217,8 @@ class TestGolden:
             assert all(type(i) is int for i in got[2]), name
 
     @pytest.mark.parametrize("m, message", [
-        (11, "3 violation(s), first MissingWitness on side 0 pair (0, 3) margin 3.166e-04"),
-        (12, "7 violation(s), first MissingWitness on side 0 pair (0, 2) margin 4.151e-04")])
+        (11, "4 violation(s), first MissingWitness on side 0 pair (0, 3) margin 3.383e-04"),
+        (12, "7 violation(s), first MissingWitness on side 0 pair (0, 2) margin 4.245e-04")])
     def test_pruned_gate_message(self, m, message):
         with pytest.raises(DegenerateGeometry) as err:
             draw_pruned_tree_pair(*gen_corollary_family(m))
@@ -219,11 +232,71 @@ class TestGolden:
             draw_tree_pair(rt, rt)
         assert time.perf_counter() - start < 1.0
 
-    def test_path_height_16_dynamic_range_message(self):
-        path = rooted([(i, i + 1) for i in range(16)], 17)
+    def test_path_height_18_dynamic_range_message(self):
+        path = rooted([(i, i + 1) for i in range(18)], 19)
         with pytest.raises(DegenerateGeometry) as err:
             draw_tree_pair(path, path)
         assert str(err.value) == "coordinate dynamic range exceeds 1e12"
+
+
+    def test_coincident_points_are_a_geometry_failure(self):
+        """Points the construction made coincide: the gate names the subtree."""
+        rt = RootedTree.from_tree(gen_random_tree(400, 5, 20), 0)
+        with pytest.raises(DegenerateGeometry) as err:
+            draw_tree_pair(rt, rt)
+        assert str(err.value) == "subtree at 3: beta region undefined for coincident points"
+
+
+def relabelled(rt, perm):
+    """``rt`` with vertex ``v`` renamed ``perm[v]``, every child order kept."""
+    t = Tree(rt.tree.n, tuple((perm[u], perm[v]) for u, v in rt.tree.edges))
+    return RootedTree.from_tree(t, perm[rt.root], {perm[u]: [perm[c] for c in kids]
+                                                   for u, kids in enumerate(rt.children)})
+
+
+def hexes(points):
+    return [(p.x.hex(), p.y.hex()) for p in points]
+
+
+class TestRelabel:
+    """A relabelled input with the same child order gives the relabelled drawing,
+    bit for bit: the floats depend only on the ordered rooted shape."""
+
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_tree_pair(self, seed):
+        rt = RootedTree.from_tree(gen_random_tree(60, seed, 3), 0)
+        perm = list(range(60))
+        random.Random(seed).shuffle(perm)
+        other = relabelled(rt, perm)
+        d, e = draw_tree_pair(rt, rt), draw_tree_pair(other, other)
+        for side in (0, 1):
+            assert hexes(d.side(side)) == [hexes(e.side(side))[perm[v]] for v in range(60)]
+            assert {frozenset((perm[u], perm[v])) for u, v in d.edges(side)} == \
+                set(map(frozenset, e.edges(side)))
+        a, b = d.parallelogram, e.parallelogram
+        assert hexes((a.a0, a.b0, a.a1, a.b1)) == hexes((b.a0, b.b0, b.a1, b.b1))
+        assert [perm[i] for i in (a.a0_id, a.b0_id, a.a1_id, a.b1_id)] == \
+            [b.a0_id, b.b0_id, b.a1_id, b.b1_id]
+        assert repr(d.trace.data) == repr(e.trace.data)
+
+    def test_pruned_pair(self):
+        rt, leaves = gen_corollary_family(3)
+        perm = list(range(rt.tree.n))
+        random.Random(3).shuffle(perm)
+        d = draw_pruned_tree_pair(rt, leaves)
+        e = draw_pruned_tree_pair(relabelled(rt, perm),
+                                  SparseLeafSet(perm[v] for v in leaves.leaf_ids))
+        assert hexes(d.points0) == [hexes(e.points0)[perm[v]] for v in range(rt.tree.n)]
+        # side 1 holds the kept vertices, numbered in increasing id order
+        place_d, place_e = (x.trace.data["side1_relabel"] for x in (d, e))
+        place = {i: place_e[str(perm[int(v)])] for v, i in place_d.items()}
+        assert hexes(d.points1) == [hexes(e.points1)[place[i]] for i in range(len(place))]
+        assert {frozenset(map(place.get, e_)) for e_ in d.edges1} == set(map(frozenset, e.edges1))
+        a, b = d.parallelogram, e.parallelogram
+        assert hexes((a.a0, a.b0, a.a1, a.b1)) == hexes((b.a0, b.b0, b.a1, b.b1))
+        assert (perm[a.a0_id], perm[a.b0_id], place[a.a1_id], place[a.b1_id]) == \
+            (b.a0_id, b.b0_id, b.a1_id, b.b1_id)
+        assert repr(d.trace.data["levels"]) == repr(e.trace.data["levels"])
 
 
 class TestGate:
@@ -274,12 +347,13 @@ class TestGate:
 
     def test_beta_inf_message_names_vertex_ids(self):
         """A level clear at beta=1 whose edge has an opposite point in its beta=inf strip;
-        ids are not rows: side 0 holds vertices 3 and 7, side 1 vertices 4 and 8."""
+        ids are not rows: side 0 holds vertices 3 and 7, side 1 vertices 4 and 8, and
+        edges are pairs of rows."""
         sides = (construct._Side(np.array([3, 7]), np.array([[0.0, 0.0], [2.0, 0.0]]),
-                                 np.array([[7, 3]])),
+                                 np.array([[1, 0]])),
                  construct._Side(np.array([4, 8]), np.array([[1.0, 1.5], [1.0, 40.0]]),
-                                 np.array([[8, 4]])))
-        sub = construct._Sub(sides, *construct._CANON, None, None, 3, 4)
+                                 np.array([[1, 0]])))
+        sub = construct._Sub(sides, *construct._CANON, None, None)
         with pytest.raises(DegenerateGeometry) as err:
             construct._gate_sub(sub, 9)
         assert str(err.value) == (

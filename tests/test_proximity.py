@@ -763,6 +763,68 @@ class TestAllBetaPrePass:
         assert reports[0].ok and not reports[-1].ok
         assert peak < 1.1 * 38.1 * 2 ** 20
 
+def metamorphic_drawings(rng):
+    """The random and grid drawings of ``corrupted_drawings``, and the tree, pruned and
+    caterpillar drawings of ``tree_drawings``, each also with one side-0 edge swapped
+    for a non-edge."""
+    yield from corrupted_drawings(rng)
+    for d in tree_drawings():
+        yield d
+        edges = set(d.edges0)
+        added = next((i, j) for i in range(len(d.points0)) for j in range(i + 1, len(d.points0))
+                     if (i, j) not in edges)
+        yield DrawingPair(d.points0, d.points1, sorted(edges - {d.edges0[0]} | {added}),
+                          d.edges1)
+
+
+def entries(report, side=lambda s: s, margin=lambda m: m):
+    """``bits`` of a report, its sides and margins mapped, entries sorted."""
+    return (report.mode, report.beta,
+            sorted((side(v.side), v.pair, v.kind, v.witness, margin(v.margin).hex())
+                   for v in report.violations),
+            sorted((side(s), pair, margin(m).hex()) for s, pair, m in report.borderline))
+
+
+def mapped_drawing(d, f, swap=False):
+    sides = [[f(*p) for p in d.points0], [f(*p) for p in d.points1]]
+    edges = [d.edges0, d.edges1]
+    if swap:
+        sides.reverse()
+        edges.reverse()
+    return DrawingPair(*sides, *edges)
+
+
+class TestMetamorphic:
+    """Exact symmetries of the verifier (metamorphic relations): each transformed
+    drawing's ``verify_universal`` reports follow from the original's."""
+
+    @pytest.fixture(scope="class")
+    def drawings(self):
+        return list(metamorphic_drawings(random.Random(7)))
+
+    def check(self, drawings, f, swap=False, k=0):
+        seen = 0
+        for d in drawings:
+            want = [entries(r, margin=lambda m: math.ldexp(m, k)) for r in verify_universal(d)]
+            got = verify_universal(mapped_drawing(d, f, swap))
+            assert [entries(r, side=(lambda s: 1 - s) if swap else (lambda s: s))
+                    for r in got] == want
+            seen += sum(bool(r[2] or r[3]) for r in want)
+        assert seen > 0
+
+    @pytest.mark.parametrize("k", [-60, -3, 5, 40])
+    def test_scaling_by_a_power_of_two_scales_every_margin(self, drawings, settling, k):
+        self.check(drawings, lambda x, y: (math.ldexp(x, k), math.ldexp(y, k)), k=k)
+
+    @pytest.mark.parametrize("f", [lambda x, y: (-x, y), lambda x, y: (x, -y)],
+                             ids=["x->-x", "y->-y"])
+    def test_mirror_leaves_reports(self, drawings, settling, f):
+        self.check(drawings, f)
+
+    def test_swapping_sides_swaps_report_sides(self, drawings, settling):
+        self.check(drawings, lambda x, y: (x, y), swap=True)
+
+
 class TestMultiBetaStage:
     """``verify_universal`` judges the pairs its pre-pass keeps at every beta in
     one kernel pass per side; each report stays ``verify``'s, bit for bit."""
