@@ -60,10 +60,11 @@ from .proximity import (
     ConstructionTrace,
     DrawingPair,
     ParallelogramAnnotation,
+    SideVerdicts,
+    _judge,
     _reports,
     _side_pairs,
     _violated,
-    side_verdicts,
     strip_ratio,
 )
 from .tree_model import (
@@ -198,43 +199,66 @@ def _min_pair_distance(points: Sequence[Point]) -> float:
     return min([math.inf] + list(map(math.hypot, dx[near].tolist(), dy[near].tolist())))
 
 
-def _gabriel_flags(X0: np.ndarray, X1: np.ndarray, edges0, edges1):
-    """``verify``'s closed violations and strict verdicts at beta 1 of both sides'
-    pairs, concatenated, plus the per-side verdicts."""
-    vs = [side_verdicts(own, other, 1.0, edges)
-          for own, other, edges in ((X0, X1, edges0), (X1, X0, edges1))]
-    return (np.concatenate([_violated(v, "closed") for v in vs]),
-            ~np.concatenate([_violated(v, "strict") for v in vs]), vs)
+def _gabriel_flags(X0: np.ndarray, X1: np.ndarray, edges0, edges1, held=None, eps=0.0):
+    """``verify``'s closed violations and strict verdicts at beta 1 of both sides' pairs,
+    concatenated, then per side the verdicts, each row's headroom ``h`` (a lower bound of
+    max(margin - TOL scale) of an open hit, of min(-margin - TOL scale) of no closed hit,
+    else 0) and drift ``D``.  ``held`` is the state of this drawing less a block move by
+    ``eps``, which moves every beta=1 margin and scale by at most ``eps``: a row with ``h >
+    2 (D + eps) + rho`` keeps its verdict and adds ``eps + rho`` to ``D``, the others (the
+    band) are judged afresh."""
+    X = np.concatenate((X0, X1))
+    M, S = float(np.abs(X).max()), 2.0 * float(np.ptp(X, axis=0).max())
+    # By _undecided's bound at beta=1 (u = 2**-53), h is within ~28*u*M of exact, a fresh
+    # verdict right beyond ~25*u*M, a float move ~5*u*M off; beyond its guard, no D is bounded.
+    ok = 2.0 ** -1022 <= S * S < math.inf and 8.0 * M < 2.0 ** 511
+    rho = 128 * 2.0 ** -53 * max(M, 2.0 ** -480) if ok else math.inf
+    sides = []
+    for s, (own, other, edges) in enumerate(((X0, X1, edges0), (X1, X0, edges1))):
+        if held is None:
+            pairs = _side_pairs(own, other, edges)
+        else:  # the band's rows, their candidates dropped as in _undecided
+            v, h, D = (part[s] for part in held[2:])
+            band = (~(h > 2.0 * (D + eps) + rho)).nonzero()[0]  # a NaN stays in the band
+            pairs = (v.iu[band], v.jv[band], own[v.iu[band]], own[v.jv[band]], other,
+                     v.is_edge[band], None, S)
+        fresh = _judge(pairs, (1.0,), TOL)[0]
+        new = np.where(fresh.open_hit, fresh.depth - TOL * fresh.scale,
+                       np.where(fresh.closed_hit, 0.0, -fresh.depth - TOL * S))
+        if held is None:
+            v, h, D = fresh, new, np.full(len(new), 0.0 if ok else math.inf)
+        else:  # copies of the held rows, the band's judged afresh
+            rows = [a.copy() for a in (v.closed_hit, v.open_hit, v.witness, v.depth, v.scale, h)]
+            for a, b in zip(rows, (fresh.closed_hit, fresh.open_hit, fresh.witness,
+                                   fresh.depth, fresh.scale, new)):
+                a[band] = b
+            v, h, D = SideVerdicts(v.iu, v.jv, v.is_edge, *rows[:5]), rows[5], D + (eps + rho)
+            D[band] = 0.0 if ok else math.inf
+        sides.append((v, h, D))
+    return (np.concatenate([_violated(v, "closed") for v, _, _ in sides]),
+            ~np.concatenate([_violated(v, "strict") for v, _, _ in sides]), *zip(*sides))
 
 
 def _safe_offset(X0: np.ndarray, X1: np.ndarray, edges0, edges1,
-                 moving: Tuple[np.ndarray, np.ndarray], u: Point, flags=None):
-    """``compute_safe_perturbation`` on the coordinate arrays of both sides.
-
-    ``moving`` holds each side's row mask of the block and ``flags`` the
-    drawing's ``_gabriel_flags``, computed here when None.  Returns the
-    first candidate that passes the acceptance test, with its flags: those
-    of the drawing moved by ``(eps * u.x, eps * u.y)``.
-    """
+                 moving: Tuple[np.ndarray, np.ndarray], u: Point, held=None):
+    """``compute_safe_perturbation`` on both sides' coordinate arrays: ``moving`` holds each
+    side's row mask of the block, ``held`` the drawing's ``_gabriel_flags`` (built here when
+    None).  Returns the first accepted offset and, from ``held``, its drawing's flags."""
     X = np.concatenate([X0, X1])
-    scale = _extent(X.tolist(), 1.0)
-    min_d = _min_pair_distance(X)
+    min_d, floor = _min_pair_distance(X), 1e-12 * _extent(X.tolist(), 1.0)
     if min_d == 0.0:
         raise DegenerateInput("drawing has coincident points")
-    base = min_d / 10.0
-    floor = 1e-12 * scale
-
-    if flags is None:
-        flags = _gabriel_flags(X0, X1, edges0, edges1)
-    orig_bad, strict, before = flags
+    if held is None:
+        held = _gabriel_flags(X0, X1, edges0, edges1)
+    orig_bad, strict, before = held[:3]
     target = np.concatenate([v.is_edge & (m[v.iu] != m[v.jv]) for v, m in zip(before, moving)])
     kept_strict = strict & ~orig_bad & ~target
 
-    eps = base
+    eps = min_d / 10.0
     while eps >= floor:
         step = (eps * u.x, eps * u.y)
-        now = _gabriel_flags(*(np.where(m[:, None], Y + step, Y)
-                               for Y, m in zip((X0, X1), moving)), edges0, edges1)
+        now = _gabriel_flags(*(np.where(m[:, None], Y + step, Y) for Y, m in zip((X0, X1), moving)),
+                             edges0, edges1, held, eps)
         if not (now[0] & (~orig_bad | target)).any() and not (kept_strict & ~now[1]).any():
             return eps, now
         eps /= 2.0
@@ -245,14 +269,14 @@ def compute_safe_perturbation(d: DrawingPair, block0: Set[int], block1: Set[int]
                               direction: Tuple[float, float] = (-1.0, 0.0)) -> float:
     """Largest halving-search offset that repairs the block's crossing edges.
 
-    Target pairs are the edges with exactly one endpoint in the moving
-    block.  A candidate offset is accepted when, after the move, every
-    target edge is strictly witness-free in its closed Gabriel region, no
-    new closed-mode violation appears, and every previously strict verdict
-    keeps a margin above tolerance.  Verdicts are ``verify``'s at beta 1:
-    any witness within ``TOL`` times its own scale of a region counts.
-    Every returned offset has passed this test, also when no edge crosses
-    the block.  Block ids must be vertices of their side.
+    Target pairs are the edges with exactly one endpoint in the moving block.  A
+    candidate offset is accepted when, after the move, every target edge is strictly
+    witness-free in its closed Gabriel region, no new closed-mode violation appears, and
+    every previously strict verdict keeps a margin above tolerance.  Verdicts are
+    ``verify``'s at beta 1: any witness within ``TOL`` times its own scale of a region
+    counts.  A candidate judges afresh only the pairs whose headroom its move may use up.
+    Every returned offset has passed this test, also when no edge crosses the block.
+    Block ids must be vertices of their side.
     """
     u = unit(direction)
     moving = tuple(np.zeros(len(d.side(s)), dtype=bool) for s in (0, 1))
@@ -375,21 +399,21 @@ def draw_caterpillar_pair(cat: CaterpillarDecomposition) -> DrawingPair:
         blocks.append(rows)
 
     # Nudge each suffix whose spine edge has a witness within tolerance of
-    # its disk.  The flags always hold the current drawing's verdicts: the
+    # its disk.  ``held`` always holds the current drawing's verdicts: the
     # accepted candidate's are the next gap's start.
     eps_values: List[float] = []
     moving = np.zeros(tree.n, dtype=bool)
     gaps = range(len(cat.spine) - 2, -1, -1)
     E = np.array(tree.edges, dtype=np.intp)
-    flags = _gabriel_flags(A0, A1, E, E) if gaps else None
+    held = _gabriel_flags(A0, A1, E, E) if gaps else None
     for gap in gaps:
         moving[blocks[gap + 1]] = True
         a, b = sorted(cat.spine[gap:gap + 2])
         row = a * (2 * tree.n - a - 1) // 2 + b - a - 1  # (a, b) in _side_pairs' order
-        if not any(v.closed_hit[row] for v in flags[2]):
+        if not any(v.closed_hit[row] for v in held[2]):
             eps_values.append(0.0)
             continue
-        eps, flags = _safe_offset(A0, A1, E, E, (moving, moving), Point(-1.0, 0.0), flags)
+        eps, held = _safe_offset(A0, A1, E, E, (moving, moving), Point(-1.0, 0.0), held)
         eps_values.append(eps)
         for A in (A0, A1):
             A[moving] += (-eps, 0.0)

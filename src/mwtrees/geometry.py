@@ -10,6 +10,7 @@ and closed membership gets the same slack in the other direction.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -114,6 +115,11 @@ def angle_at(u: Sequence[float], apex: Sequence[float], v: Sequence[float]) -> f
 # beta regions
 # ---------------------------------------------------------------------------
 
+def _is_beta(beta) -> bool:
+    """A real >= 1 or inf, not a bool or np.bool_; ``float`` first, as the ABC check is slow."""
+    return isinstance(beta, (float, numbers.Real)) and not isinstance(beta, bool) and beta >= 1.0
+
+
 def beta_disks(p: Sequence[float], q: Sequence[float], beta: float):
     """Centers and radius of the two disks whose intersection is the region.
 
@@ -123,7 +129,7 @@ def beta_disks(p: Sequence[float], q: Sequence[float], beta: float):
     d = dist(p, q)
     if d == 0.0:
         raise DegenerateInput("beta region undefined for coincident points")
-    if not (math.isfinite(beta) and beta >= 1.0):
+    if not (_is_beta(beta) and math.isfinite(beta)):
         raise DegenerateInput(f"beta must be a finite real >= 1, got {beta!r}")
     half = float(beta) / 2.0
     c1 = Point((1.0 - half) * p[0] + half * q[0], (1.0 - half) * p[1] + half * q[1])
@@ -150,7 +156,7 @@ class BetaRegion:
         object.__setattr__(self, "q", Point(*self.q))
         if dist(self.p, self.q) == 0.0:
             raise DegenerateInput("beta region undefined for coincident points")
-        if not (self.beta >= 1.0):
+        if not _is_beta(self.beta):
             raise DegenerateInput(f"beta must be >= 1, got {self.beta!r}")
 
 
@@ -169,14 +175,12 @@ def region_margin(p: Sequence[float], q: Sequence[float], beta: float,
     d = math.sqrt(dx * dx + dy * dy)
     if d == 0.0:
         raise DegenerateInput("beta region undefined for coincident points")
-    if not beta >= 1.0:
+    if not _is_beta(beta):
         raise DegenerateInput(f"beta must lie in [1, inf], got {beta!r}")
     if beta == BETA_INF:  # a projection started at ``+ 0.0``, as the kernel's sum
         m1 = (wx - px) * (dx / d) + 0.0 + (wy - py) * (dy / d)
         m2 = d - m1
-    else:
-        if not math.isfinite(beta):
-            raise DegenerateInput(f"beta must be a finite real >= 1, got {beta!r}")
+    else:  # a real >= 1 that is not inf
         half = float(beta) / 2.0
         r = half * d
         ex, ey = wx - ((1.0 - half) * px + half * qx), wy - ((1.0 - half) * py + half * qy)

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateInput, MissingAnnotation
-from .geometry import TOL, BETA_INF, Line, Point, _extent
+from .geometry import TOL, BETA_INF, Line, Point, _extent, _is_beta
 from .tree_model import normalize_edges, vertex_id
 
 DEFAULT_BETAS: Tuple[float, ...] = (1.0, 1.5, 2.0, 5.0, 10.0, BETA_INF)
@@ -347,6 +347,8 @@ def verify(d: DrawingPair, beta: float, mode: str = "strict",
         raise DegenerateInput(f"unknown mode {mode!r}")
     if not (margin >= 0.0 and math.isfinite(margin)):
         raise DegenerateInput(f"margin must be a finite real >= 0, got {margin!r}")
+    if not _is_beta(beta):
+        raise DegenerateInput(f"beta must lie in [1, inf], got {beta!r}")
     return _reports(_drawing_sides(d), (beta,), mode, margin)[0]
 
 
@@ -412,7 +414,7 @@ def verify_universal(d: DrawingPair, betas: Optional[Sequence[float]] = None
     drops the pairs beta=1 and beta=inf decide for every beta, and ``_reports`` judges the
     rest at every beta in one pass."""
     betas = tuple(DEFAULT_BETAS if betas is None else betas)
-    if not (betas and all(b >= 1.0 for b in betas)):  # [], or verify's error at the first beta
+    if not (betas and all(map(_is_beta, betas))):  # [], or verify's error at the first beta
         return [verify(d, b) for b in betas]
     return _reports(_undecided(_drawing_sides(d), betas), betas, "strict", TOL)
 

@@ -9,7 +9,7 @@ import mwtrees.construct as construct
 from mwtrees.construct import compute_safe_perturbation, draw_caterpillar_pair, draw_star_pair
 from mwtrees.errors import DegenerateInput, NoSafeEps
 from mwtrees.geometry import TOL, Point
-from mwtrees.proximity import DrawingPair, extract_mw_graphs, verify
+from mwtrees.proximity import DrawingPair, extract_mw_graphs, pair_witness_margins, verify
 from mwtrees.tree_model import caterpillar_decompose, gen_random_caterpillar
 
 # Exact coordinates of two seeded caterpillars whose drawings take non-zero
@@ -48,6 +48,36 @@ def check_caterpillar(tree):
     scale = max(abs(p.x) + abs(p.y) for p in list(d.points0) + list(d.points1))
     assert gap0 > TOL * scale and gap1 > TOL * scale
     return d
+
+
+def sweep_trees():
+    """The 40 random caterpillars of ``test_random_sweep``."""
+    rng = random.Random(77)
+    trees = []
+    for trial in range(40):
+        spine = rng.randint(1, 10)
+        counts = [rng.randint(0, 4) for _ in range(spine)]
+        trees.append(gen_random_caterpillar(spine, counts, 400 + trial))
+    return trees
+
+
+def sized_caterpillar(n, seed):
+    """A caterpillar of ``n`` vertices with a spine of ``n // 4``, leaves spread at random."""
+    rng = random.Random(seed)
+    counts = [0] * (n // 4)
+    for _ in range(n - n // 4):
+        counts[rng.randrange(n // 4)] += 1
+    return gen_random_caterpillar(n // 4, counts, seed)
+
+
+def true_headroom(own, other, v):
+    """Each row's clearance of its verdict from full margin tables: the
+    largest ``margin - TOL * scale`` of an open hit, the smallest
+    ``-margin - TOL * scale`` of a row without a closed hit, else 0."""
+    marg, scale = pair_witness_margins(own[v.iu], own[v.jv], other, 1.0)
+    return np.where(v.open_hit, (marg - TOL * scale).max(axis=1, initial=-math.inf),
+                    np.where(v.closed_hit, 0.0,
+                             (-marg - TOL * scale).min(axis=1, initial=math.inf)))
 
 
 class TestPaths:
@@ -106,23 +136,33 @@ class TestProfiles:
     @pytest.mark.parametrize("profile", sorted(NUDGED_GOLDEN),
                              ids=lambda p: "-".join(map(str, p)))
     def test_nudge_reuses_accepted_verdicts(self, profile, monkeypatch):
-        """Each nudge's accepted candidate serves as the next gap's starting
-        verdicts, so the drawing builds one two-side beta=1 table per non-zero
-        nudge, plus the first one."""
+        """The drawing's beta=1 verdicts are built once, one full two-side
+        ``_judge`` of its ``_side_pairs``; each nudge candidate then judges
+        only its band, and the accepted candidate's verdicts start the next
+        gap.  The other two ``_side_pairs`` are the final closed check's."""
         nudges, pts0, pts1 = NUDGED_GOLDEN[profile]
         tree = gen_random_caterpillar(len(profile), list(profile), 7)
-        builds = []
-        real = construct.side_verdicts
+        full = tree.n * (tree.n - 1) // 2
+        built, judged = [], []
+        real_pairs, real_judge = construct._side_pairs, construct._judge
 
-        def counting(own, other, beta, *args, **kwargs):
-            if len(own) == tree.n:
-                builds.append(beta)
-            return real(own, other, beta, *args, **kwargs)
+        def pairs(own, other, edges):
+            built.append(len(own))
+            return real_pairs(own, other, edges)
 
-        monkeypatch.setattr(construct, "side_verdicts", counting)
+        def judge(sides, betas, tol):
+            judged.append((len(sides[0]), betas))
+            return real_judge(sides, betas, tol)
+
+        monkeypatch.setattr(construct, "_side_pairs", pairs)
+        monkeypatch.setattr(construct, "_judge", judge)
         d = draw_caterpillar_pair(caterpillar_decompose(tree))
         assert d.points0 == tuple(pts0) and d.points1 == tuple(pts1)
-        assert builds == [1.0] * 2 * (sum(e != 0.0 for e in nudges) + 1)
+        assert built == [tree.n] * 4
+        assert judged[:2] == [(full, (1.0,))] * 2
+        bands = judged[2:]
+        assert len(bands) == 2 * sum(e != 0.0 for e in nudges)
+        assert all(0 < rows < full and betas == (1.0,) for rows, betas in bands)
 
     @pytest.mark.parametrize("profile", sorted(NUDGED_GOLDEN),
                              ids=lambda p: "-".join(map(str, p)))
@@ -150,12 +190,139 @@ class TestProfiles:
             assert compute_safe_perturbation(gap, set(block0), set(block1)).hex() == eps.hex()
 
     def test_random_sweep(self):
-        rng = random.Random(77)
-        for trial in range(40):
-            spine = rng.randint(1, 10)
-            counts = [rng.randint(0, 4) for _ in range(spine)]
-            tree = gen_random_caterpillar(spine, counts, 400 + trial)
+        for tree in sweep_trees():
             check_caterpillar(tree)
+
+
+class TestKineticNudge:
+    """Each nudge candidate judges afresh only its band: the rows whose
+    headroom ``h`` is not above ``2 (D + eps) + rho``.  Its verdicts must be
+    those a full build of the candidate drawing gives."""
+
+    @staticmethod
+    def candidates(tree, monkeypatch):
+        """Every nudge candidate's ``_gabriel_flags`` call in the drawing of
+        ``tree``, as ``(X0, X1, edges0, edges1, held, eps, flags)``."""
+        calls = []
+        real = construct._gabriel_flags
+
+        def recording(X0, X1, edges0, edges1, held=None, eps=0.0):
+            flags = real(X0, X1, edges0, edges1, held, eps)
+            if held is not None:
+                calls.append((X0, X1, edges0, edges1, held, eps, flags))
+            return flags
+
+        monkeypatch.setattr(construct, "_gabriel_flags", recording)
+        draw_caterpillar_pair(caterpillar_decompose(tree))
+        monkeypatch.undo()
+        return calls
+
+    def check_candidates(self, tree, monkeypatch):
+        calls = self.candidates(tree, monkeypatch)
+        for X0, X1, edges0, edges1, held, eps, got in calls:
+            want = construct._gabriel_flags(X0, X1, edges0, edges1)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            for s, (v, ref) in enumerate(zip(got[2], want[2])):
+                assert np.array_equal(v.closed_hit, ref.closed_hit)
+                assert np.array_equal(v.open_hit, ref.open_hit)
+                h, D = got[3][s], got[4][s]
+                carried = D > 0.0
+                # a carried row kept its h and gained eps and more of drift
+                assert (h[carried] == held[3][s][carried]).all()
+                assert (D[carried] > held[4][s][carried] + eps).all()
+                # h - 2 D bounds the clearance from below: exactly on the
+                # rows judged afresh (D = 0), by the certificate on the others
+                room = true_headroom(*((X0, X1) if s == 0 else (X1, X0)), v)
+                assert (h - 2.0 * D <= room).all()
+        return calls
+
+    @pytest.mark.parametrize("profile", sorted(NUDGED_GOLDEN),
+                             ids=lambda p: "-".join(map(str, p)))
+    def test_golden_candidates(self, profile, monkeypatch):
+        tree = gen_random_caterpillar(len(profile), list(profile), 7)
+        calls = self.check_candidates(tree, monkeypatch)
+        assert len(calls) == sum(e != 0.0 for e in NUDGED_GOLDEN[profile][0])
+
+    def test_random_sweep_candidates(self, monkeypatch):
+        total = 0
+        for tree in sweep_trees():
+            total += len(self.check_candidates(tree, monkeypatch))
+        assert total > 40
+
+    def test_large_caterpillar_candidates(self, monkeypatch):
+        tree = sized_caterpillar(97, 7)
+        calls = self.check_candidates(tree, monkeypatch)
+        assert len(calls) > 10
+        # most rows are carried: the band is a small share of them
+        rows = sum(len(D) for *_, flags in calls for D in flags[4])
+        assert sum(int((D == 0.0).sum()) for *_, flags in calls for D in flags[4]) < rows / 4
+
+    @pytest.mark.parametrize("tree", [gen_random_caterpillar(len(p), list(p), 7)
+                                      for p in sorted(NUDGED_GOLDEN)]
+                             + [sized_caterpillar(97, 7)], ids=["golden0", "golden1", "n97"])
+    def test_band_of_every_row_draws_the_same(self, tree, monkeypatch):
+        """A NaN headroom puts every row in every candidate's band: the
+        drawing and its trace are the same, bit for bit."""
+        want = draw_caterpillar_pair(caterpillar_decompose(tree))
+        real, judged = construct._gabriel_flags, []
+
+        def every_row(X0, X1, edges0, edges1, held=None, eps=0.0):
+            if held is not None:
+                held = (*held[:3], tuple(np.full(len(h), math.nan) for h in held[3]), held[4])
+            flags = real(X0, X1, edges0, edges1, held, eps)
+            judged.append(all((D == 0.0).all() for D in flags[4]))
+            return flags
+
+        monkeypatch.setattr(construct, "_gabriel_flags", every_row)
+        got = draw_caterpillar_pair(caterpillar_decompose(tree))
+        assert len(judged) > 1 and all(judged)
+        assert got.trace.data == want.trace.data
+        assert [p.hex() for q in got.points0 + got.points1 for p in q] == \
+            [p.hex() for q in want.points0 + want.points1 for p in q]
+
+    def test_nan_headroom_stays_in_the_band(self):
+        tree = gen_random_caterpillar(5, [0, 1, 0, 2, 0], 7)
+        d = draw_caterpillar_pair(caterpillar_decompose(tree))
+        X0, X1 = np.array(d.points0), np.array(d.points1)
+        E = np.array(tree.edges, dtype=np.intp)
+        held = construct._gabriel_flags(X0, X1, E, E)
+        moving = np.arange(tree.n) == d.trace.data["largest_star_index"]
+        Y0, Y1 = (np.where(moving[:, None], X + (-1e-6, 0.0), X) for X in (X0, X1))
+        carried = construct._gabriel_flags(Y0, Y1, E, E, held, 1e-6)
+        r = int(np.argmax(held[3][0]))
+        assert carried[4][0][r] > 0.0
+        h = held[3][0].copy()
+        h[r] = math.nan
+        got = construct._gabriel_flags(Y0, Y1, E, E, (*held[:3], (h, held[3][1]), held[4]), 1e-6)
+        assert got[4][0][r] == 0.0
+        want = construct._gabriel_flags(Y0, Y1, E, E)
+        assert got[3][0][r] == want[3][0][r]
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("scale", [2.0 ** 508, 2.0 ** -515])
+    def test_beyond_the_range_guard_every_row_is_judged(self, scale, monkeypatch):
+        """Coordinates whose ``8 M`` reaches ``2**511``, or whose ``S * S`` is not
+        normal: no drift is bounded, so every candidate judges every row."""
+        X0 = np.array([(0.0, 0.0), (-1.0, 0.0), (-1.0, 0.5)]) * scale
+        X1 = np.array([(-0.5, -0.5), (2.0, -2.0)]) * scale
+        E0, E1 = np.array([(0, 2), (1, 2)]), np.empty((0, 2), dtype=int)
+        held = construct._gabriel_flags(X0, X1, E0, E1)
+        assert all(np.isinf(D).all() for D in held[4])
+        eps = 1e-3 * scale
+        Y0, Y1 = X0 + [(0.0, 0.0), (0.0, 0.0), (-eps, 0.0)], X1
+        judged, real = [], construct._judge
+
+        def judge(pairs, betas, tol):
+            judged.append(len(pairs[0]))
+            return real(pairs, betas, tol)
+
+        monkeypatch.setattr(construct, "_judge", judge)
+        got = construct._gabriel_flags(Y0, Y1, E0, E1, held, eps)
+        monkeypatch.undo()
+        assert judged == [3, 1]
+        assert all(np.isinf(D).all() for D in got[4])
+        want = construct._gabriel_flags(Y0, Y1, E0, E1)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def loop_min_pair_distance(points):
@@ -269,9 +436,17 @@ class TestSafePerturbation:
         moved = [np.where(m[:, None], X + (-eps, 0.0), X) for X, m in zip((X0, X1), moving)]
         want = construct._gabriel_flags(*moved, edges0, edges1)
         assert np.array_equal(flags[0], want[0]) and np.array_equal(flags[1], want[1])
-        for got, ref in zip(flags[2], want[2]):
-            for f in dataclasses.fields(got):
-                assert np.array_equal(getattr(got, f.name), getattr(ref, f.name)), f.name
+        for s, (got, ref) in enumerate(zip(flags[2], want[2])):
+            for f in ("iu", "jv", "is_edge", "closed_hit", "open_hit"):
+                assert np.array_equal(getattr(got, f), getattr(ref, f)), f
+            fresh, carried = flags[4][s] == 0.0, flags[4][s] > 0.0
+            assert (fresh | carried).all() and fresh.any()
+            for f in ("witness", "depth", "scale"):
+                assert np.array_equal(getattr(got, f)[fresh], getattr(ref, f)[fresh]), f
+            assert np.array_equal(flags[3][s][fresh], want[3][s][fresh])
+            own, other = (moved[0], moved[1]) if s == 0 else (moved[1], moved[0])
+            room = true_headroom(own, other, got)
+            assert (flags[3][s] - 2.0 * flags[4][s] <= room)[carried].all()
 
     def test_adversarially_blocked_edge(self):
         # the witness sits deep inside the target edge's disk; no small move

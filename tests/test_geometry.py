@@ -70,6 +70,29 @@ class TestBetaDisks:
             beta_disks((0, 0), (1, 0), beta)
 
 
+class TestBoolBeta:
+    """``True == 1``, but a bool is no beta; the reals each function takes
+    today still pass."""
+
+    @pytest.mark.parametrize("beta", [True, np.True_])
+    def test_bool_beta_rejected(self, beta):
+        with pytest.raises(DegenerateInput, match=r"^beta must lie in \[1, inf\], got "):
+            region_margin((0, 0), (1, 0), beta, (0.5, 0.1))
+        with pytest.raises(DegenerateInput, match=r"^beta must be a finite real >= 1, got "):
+            beta_disks((0, 0), (1, 0), beta)
+        with pytest.raises(DegenerateInput, match=r"^beta must be >= 1, got "):
+            BetaRegion((0, 0), (1, 0), beta)
+
+    @pytest.mark.parametrize("beta", [1, np.float32(1.5), Fraction(3, 2)])
+    def test_real_betas_accepted(self, beta):
+        p, q, w = (0.1, 0.3), (4.7, -1.9), (2.0, -0.5)
+        assert region_margin(p, q, beta, w) == region_margin(p, q, float(beta), w)
+        assert beta_disks(p, q, beta) == beta_disks(p, q, float(beta))
+        r = BetaRegion(p, q, beta, closed=False)
+        assert r.beta == beta
+        assert region_contains(r, w) == region_contains(BetaRegion(p, q, float(beta), False), w)
+
+
 class TestRegionContains:
     def test_boundary_closed_vs_open(self):
         closed = BetaRegion(Point(0, 0), Point(2, 0), 1.0, closed=True)

@@ -218,6 +218,25 @@ class TestBetaDomain:
         with pytest.raises(DegenerateInput):
             verify(DrawingPair((Point(0, 0),), (Point(5, 5),)), beta, "strict")
 
+    @pytest.mark.parametrize("beta", [True, np.True_])
+    def test_bool_beta_rejected(self, beta):
+        """``True == 1``, but a bool is no beta: not even for a report's ``.beta``."""
+        d = DrawingPair(PATH0, PATH1, PATH_EDGES, PATH_EDGES)
+        message = r"^beta must lie in \[1, inf\], got (np\.)?True_?$"
+        with pytest.raises(DegenerateInput, match=message):
+            verify(d, beta, "closed")
+        with pytest.raises(DegenerateInput, match=message):
+            verify_universal(d, [1.0, beta])
+
+    @pytest.mark.parametrize("beta", [1, np.float32(1.5), Fraction(3, 2)])
+    def test_real_betas_accepted(self, beta):
+        d = DrawingPair(PATH0, PATH1, PATH_EDGES, PATH_EDGES)
+        for mode in ("open", "closed", "strict"):
+            got, want = verify(d, beta, mode), verify(d, float(beta), mode)
+            assert got.beta == beta and got.violations == want.violations
+        got, want = verify_universal(d, [beta]), verify_universal(d, [float(beta)])
+        assert [r.violations for r in got] == [r.violations for r in want]
+
 
 def reference_margins(P, Q, W, beta):
     """The margin kernel as first written: ``np.linalg.norm`` over ``(m, k, 2)``
