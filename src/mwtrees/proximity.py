@@ -5,6 +5,8 @@ no vertex of the other side lies in its beta region.  The verifier diffs a
 claimed drawing against that rule.  Every verdict, at one beta or at several,
 comes from one stage, ``_judge``, over one side's ``_side_pairs``, and every
 report from one, ``_reports``, which the construction gates call too.
+``verify_universal`` builds its sides with no candidate search
+(``_pair_arrays``) and drops a non-edge at its first witness clear at beta=1.
 """
 from __future__ import annotations
 
@@ -140,10 +142,8 @@ def _margins(P: np.ndarray, Q: np.ndarray, W: np.ndarray,
              betas: Tuple) -> Tuple[np.ndarray, np.ndarray]:
     """``pair_witness_margins`` at each of ``betas``, also for one witness per pair: ``W`` of
     shape ``(m, 1, 2)``.  The finite betas are one broadcast ``(betas, m, k)`` evaluation whose
-    floats are the one-beta ones; beta=inf and the scale are evaluated once."""
-    for beta in betas:
-        if not beta >= 1.0:
-            raise DegenerateInput(f"beta must lie in [1, inf], got {beta!r}")
+    floats are the one-beta ones; beta=inf and the scale are evaluated once.  Callers check the
+    betas (``_check_betas``)."""
     d = _dist_table(Q[:, None], P)  # (m, 1): |Q[m] - P[m]|
     if not d.all():
         raise DegenerateInput("beta region undefined for coincident points")
@@ -172,6 +172,12 @@ def _margins(P: np.ndarray, Q: np.ndarray, W: np.ndarray,
     return marg, scale
 
 
+def _check_betas(*betas):
+    for beta in betas:
+        if not _is_beta(beta):
+            raise DegenerateInput(f"beta must lie in [1, inf], got {beta!r}")
+
+
 def pair_witness_margins(P: np.ndarray, Q: np.ndarray, W: np.ndarray,
                          beta: float) -> Tuple[np.ndarray, np.ndarray]:
     """Margins and scales of every witness against every (p, q) pair.
@@ -182,10 +188,10 @@ def pair_witness_margins(P: np.ndarray, Q: np.ndarray, W: np.ndarray,
     ``beta`` may also be a tuple of betas: ``margin`` is then ``(len(beta), m, k)``, from
     one pass whose floats are those of each beta alone.
     """
-    if isinstance(beta, tuple):
-        return _margins(P, Q, W, beta)
-    marg, scale = _margins(P, Q, W, (beta,))
-    return marg[0], scale
+    betas = beta if isinstance(beta, tuple) else (beta,)
+    _check_betas(*betas)
+    marg, scale = _margins(P, Q, W, betas)
+    return (marg, scale) if isinstance(beta, tuple) else (marg[0], scale)
 
 
 @dataclass(frozen=True)
@@ -213,9 +219,9 @@ class SideVerdicts:
     scale: np.ndarray
 
 
-def _side_pairs(own: Sequence[Point], other: Sequence[Point], edges: Sequence[Tuple[int, int]]):
-    """The beta-independent part of ``side_verdicts``: pairs, endpoints, witnesses and
-    edge mask, and above ``_SETTLE_CELLS`` cells each pair's candidate and ``S``."""
+def _pair_arrays(own: Sequence[Point], other: Sequence[Point], edges: Sequence[Tuple[int, int]]):
+    """``_side_pairs`` without the candidate search: pairs, endpoints, witnesses and edge mask,
+    with ``None`` for the candidates and ``S``."""
     A = np.asarray(own, dtype=float).reshape(-1, 2)
     B = np.asarray(other, dtype=float).reshape(-1, 2)
     if not len(B):
@@ -223,7 +229,6 @@ def _side_pairs(own: Sequence[Point], other: Sequence[Point], edges: Sequence[Tu
     n = len(A)
     r = np.arange(n)
     iu, jv = np.nonzero(r[:, None] < r)  # np.triu_indices(n, k=1), with less overhead
-    P, Q = A[iu], A[jv]
     if not (isinstance(edges, np.ndarray) and edges.dtype.kind in "iu"):
         edges = normalize_edges(edges, n)  # by the vertex-id rule; integer arrays run below
     e = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
@@ -232,15 +237,24 @@ def _side_pairs(own: Sequence[Point], other: Sequence[Point], edges: Sequence[Tu
         normalize_edges(e.tolist(), n)  # raises, naming the first bad edge
     adj = np.zeros((n, n), dtype=bool)
     adj[u, v] = adj[v, u] = True
+    return iu, jv, A[iu], A[jv], B, adj[iu, jv], None, None
+
+
+def _side_pairs(own: Sequence[Point], other: Sequence[Point], edges: Sequence[Tuple[int, int]]):
+    """The beta-independent part of ``side_verdicts``: ``_pair_arrays``, and above
+    ``_SETTLE_CELLS`` cells each pair's candidate and ``S``."""
+    pairs = _pair_arrays(own, other, edges)
+    iu, jv, P, Q, B = pairs[:5]
     if len(iu) * len(B) <= _SETTLE_CELLS:
-        return iu, jv, P, Q, B, adj[iu, jv], None, None
+        return pairs
     step = max(1, _CHUNK // len(B))
     cand = np.zeros(len(iu), dtype=np.intp)
     for i in range(0, len(iu), step):
         cand[i:i + step] = _sq_table(B, 0.5 * (P[i:i + step] + Q[i:i + step])).argmin(axis=1)
+    A = np.asarray(own, dtype=float).reshape(-1, 2)
     S = 2.0 * float(np.ptp(np.concatenate((A, B)), axis=0).max())
     # while S * S is normal and finite, no computed scale exceeds S; else settle none
-    return iu, jv, P, Q, B, adj[iu, jv], cand, S if 2.0 ** -1022 <= S * S < math.inf else math.inf
+    return pairs[:6] + (cand, S if 2.0 ** -1022 <= S * S < math.inf else math.inf)
 
 
 def _full_rows(P: np.ndarray, Q: np.ndarray, W: np.ndarray, betas: Tuple, tol: float):
@@ -290,6 +304,7 @@ def side_verdicts(own: Sequence[Point], other: Sequence[Point], beta: float,
     ``own`` may have fewer than two points; ``other`` needs one.  ``edges``
     go through ``normalize_edges``, unless they are one integer array.
     """
+    _check_betas(beta)
     return _judge(_side_pairs(own, other, edges), (beta,), TOL)[0]
 
 
@@ -347,14 +362,13 @@ def verify(d: DrawingPair, beta: float, mode: str = "strict",
         raise DegenerateInput(f"unknown mode {mode!r}")
     if not (margin >= 0.0 and math.isfinite(margin)):
         raise DegenerateInput(f"margin must be a finite real >= 0, got {margin!r}")
-    if not _is_beta(beta):
-        raise DegenerateInput(f"beta must lie in [1, inf], got {beta!r}")
+    _check_betas(beta)
     return _reports(_drawing_sides(d), (beta,), mode, margin)[0]
 
 
-def _drawing_sides(d: DrawingPair):
+def _drawing_sides(d: DrawingPair, build=_side_pairs):
     X = [np.asarray(d.side(side), dtype=float) for side in (0, 1)]
-    return [_side_pairs(X[side], X[1 - side], np.array(d.edges(side), dtype=np.intp))
+    return [build(X[side], X[1 - side], np.array(d.edges(side), dtype=np.intp))
             for side in (0, 1)]
 
 
@@ -379,8 +393,9 @@ def _reports(sides: list, betas: Tuple, mode: str, margin: float) -> List[Verifi
 
 
 def _undecided(sides: list, betas: Tuple) -> list:
-    """A drawing's ``sides`` less the rows whose verdict beta=1 and beta=inf fix at all ``betas``;
-    the kept rows drop their candidates, for full rows at every beta."""
+    """A drawing's ``sides`` less the rows whose verdict beta=1 and beta=inf fix at all ``betas``.
+    A non-edge leaves at its first witness, in index order, that clears beta=1: witnesses go in
+    blocks of 8, 16, 32, ..., each against the rows still kept, in ``_CHUNK``-cell chunks."""
     if not (betas and all(b >= 1.0 for b in betas)):
         return sides
     X = np.concatenate((sides[1][4], sides[0][4]))  # each side's witnesses: d's points
@@ -393,11 +408,23 @@ def _undecided(sides: list, betas: Tuple) -> list:
     # (centres and differences below 2*beta*M, ~8 roundings of 3*u*beta*M), a beta=inf one
     # within 37*u*M: 61*u*bmax*M between two, doubled; the floor covers 2**-533*bmax underflow.
     slack = 128 * 2.0 ** -53 * bmax * max(M, 2.0 ** -480)
-    for s, (iu, jv, P, Q, B, is_edge, cand, S_) in enumerate(sides):
+    for s, (iu, jv, P, Q, B, is_edge, _, S_) in enumerate(sides):
         ne, ed, keep = np.flatnonzero(~is_edge), np.flatnonzero(is_edge), is_edge.copy()
-        m1 = (pair_witness_margins(P[ne], Q[ne], B, 1.0)[0].max(axis=1) if cand is None
-              else _margins(P[ne], Q[ne], B[cand[ne]][:, None], (1.0,))[0][0, :, 0])
-        keep[ne] = ~(m1 - TOL * S > slack)  # a non-edge clear at beta=1; NaN stays
+        d = _dist_table(Q[ne, None], P[ne])[:, 0]
+        if not d.all():
+            raise DegenerateInput("beta region undefined for coincident points")
+        # the kernel's beta=1 floats, r - |w - c| with r = d/2 and c = P/2 + Q/2, are monotone in
+        # |w - c|: a block's deepest margin is at the sqrt of its least square; NaN clears nothing
+        r, c, lo, width = 0.5 * d, 0.5 * P[ne] + 0.5 * Q[ne], 0, 8
+        while lo < len(B) and len(ne):
+            W, near = B[lo:lo + width], np.empty(len(ne))
+            step = max(1, _CHUNK // len(W))
+            for i in range(0, len(ne), step):
+                near[i:i + step] = _sq_table(c[i:i + step], W).min(axis=0)  # (witness, row)
+            clear = (r - np.sqrt(near)) - TOL * S > slack
+            ne, r, c = ne[~clear], r[~clear], c[~clear]
+            lo, width = lo + width, 2 * width
+        keep[ne] = True  # a non-edge with no witness clear at beta=1
         step = max(1, _CHUNK // len(B))
         for rows in (ed[i:i + step] for i in range(0, len(ed), step)):
             marg, scale = pair_witness_margins(P[rows], Q[rows], B, BETA_INF)
@@ -411,12 +438,12 @@ def _undecided(sides: list, betas: Tuple) -> list:
 def verify_universal(d: DrawingPair, betas: Optional[Sequence[float]] = None
                      ) -> List[VerificationReport]:
     """Strict-mode ``verify`` at each listed beta (default sample), bit for bit.  Each side
-    drops the pairs beta=1 and beta=inf decide for every beta, and ``_reports`` judges the
-    rest at every beta in one pass."""
+    builds its pairs with no candidate search, drops the pairs beta=1 and beta=inf decide for
+    every beta, and ``_reports`` judges the rest at every beta in one pass."""
     betas = tuple(DEFAULT_BETAS if betas is None else betas)
     if not (betas and all(map(_is_beta, betas))):  # [], or verify's error at the first beta
         return [verify(d, b) for b in betas]
-    return _reports(_undecided(_drawing_sides(d), betas), betas, "strict", TOL)
+    return _reports(_undecided(_drawing_sides(d, _pair_arrays), betas), betas, "strict", TOL)
 
 
 # ---------------------------------------------------------------------------

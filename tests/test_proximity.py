@@ -227,6 +227,14 @@ class TestBetaDomain:
             verify(d, beta, "closed")
         with pytest.raises(DegenerateInput, match=message):
             verify_universal(d, [1.0, beta])
+        P, Q, W = np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]), np.array([[0.5, 0.1]])
+        for call in (lambda: pair_witness_margins(P, Q, W, beta),
+                     lambda: pair_witness_margins(P, Q, W, (1.0, beta)),
+                     lambda: side_verdicts(PATH0, PATH1, beta),
+                     lambda: side_verdicts([(0, 0)], PATH1, beta),
+                     lambda: extract_mw_graphs([(0, 0), (1, 0)], [(0.5, 0.1)], beta, True)):
+            with pytest.raises(DegenerateInput, match=message):
+                call()
 
     @pytest.mark.parametrize("beta", [1, np.float32(1.5), Fraction(3, 2)])
     def test_real_betas_accepted(self, beta):
@@ -582,7 +590,8 @@ class TestSettledVerdicts:
 
 
 class TestVerifyUniversal:
-    """``verify_universal`` finds each side's pairs and candidates once, for all betas."""
+    """``verify_universal`` builds each side's pairs once, for all betas, with no
+    candidate search; ``_side_pairs`` judged at several betas keeps its candidates."""
 
     @pytest.mark.parametrize("betas", [(1.0, 1.5, 1.7, 2.0, 10.0, BETA_INF), None])
     def test_bit_identical_to_verify_per_beta(self, rng, settling, betas):
@@ -623,13 +632,13 @@ class TestVerifyUniversal:
 
     def test_pairs_found_once_per_side(self, rng, monkeypatch):
         calls = []
-        side_pairs = proximity._side_pairs
+        pair_arrays = proximity._pair_arrays
 
         def counted(*args):
             calls.append(len(args[0]))
-            return side_pairs(*args)
+            return pair_arrays(*args)
 
-        monkeypatch.setattr(proximity, "_side_pairs", counted)
+        monkeypatch.setattr(proximity, "_pair_arrays", counted)
         a, b = random_points(rng, 26), random_points(rng, 22)
         assert len(verify_universal(DrawingPair(a, b))) == len(DEFAULT_BETAS)
         assert calls == [26, 22]
@@ -687,6 +696,36 @@ def all_beta_drawings(rng):
     for d in list(corrupted_drawings(rng)) + list(tree_drawings()) + far:
         yield from moved(d)
     yield DrawingPair(PATH0 + (PATH0[1],), PATH1, PATH_EDGES, PATH_EDGES)  # coincident
+
+
+def relabelled(d):
+    """``d`` with side 1's vertex ids reversed."""
+    n = len(d.points1)
+    return DrawingPair(d.points0, d.points1[::-1], d.edges0,
+                       [(n - 1 - u, n - 1 - v) for u, v in d.edges1])
+
+
+def candidate_rule(d, betas):
+    """Each side's pairs the pre-pass kept while it searched candidates: a non-edge whose
+    witness nearest its midpoint has no beta=1 margin above ``TOL * S + slack``, and an
+    edge with a witness whose beta=inf margin is not below ``-TOL * scale - slack``."""
+    X = np.asarray(list(d.points0) + list(d.points1), dtype=float)
+    M, S = float(np.abs(X).max()), 2.0 * float(np.ptp(X, axis=0).max())
+    bmax = max([1.0] + [float(b) for b in betas if b != BETA_INF])
+    slack = 128 * 2.0 ** -53 * bmax * max(M, 2.0 ** -480)
+    kept = []
+    for side in (0, 1):
+        A, B = (np.asarray(d.side(s), dtype=float) for s in (side, 1 - side))
+        iu, jv = np.triu_indices(len(A), k=1)
+        P, Q = A[iu], A[jv]
+        near = ((B[None] - (0.5 * (P + Q))[:, None]) ** 2).sum(axis=2).argmin(axis=1)
+        m1 = pair_witness_margins(P, Q, B, 1.0)[0][np.arange(len(P)), near]
+        mi, si = pair_witness_margins(P, Q, B, BETA_INF)
+        edges = set(d.edges(side))
+        kept.append([(i, j) for r, (i, j) in enumerate(zip(iu.tolist(), jv.tolist()))
+                     if (not (mi[r] + si[r] * TOL).max() < -slack if (i, j) in edges
+                         else not m1[r] - TOL * S > slack)])
+    return kept
 
 
 class TestAllBetaPrePass:
@@ -763,6 +802,63 @@ class TestAllBetaPrePass:
                                     DEFAULT_BETAS)[0]
         got = set(zip(kept[0].tolist(), kept[1].tolist()))
         assert {(int(iu[edge]), int(jv[edge])), (int(iu[non_edge]), int(jv[non_edge]))} <= got
+
+    def test_kept_rows_are_the_candidate_rule(self, rng, settling):
+        """The search-free pre-pass keeps, row for row, what the midpoint-nearest
+        candidate kept: a witness clears beta=1 exactly when the candidate does."""
+        dropped = 0
+        for d in list(corrupted_drawings(rng)) + list(tree_drawings()):
+            for e in (d, relabelled(d)):
+                sides = proximity._drawing_sides(e, proximity._pair_arrays)
+                kept = proximity._undecided(list(sides), DEFAULT_BETAS)
+                want = candidate_rule(e, DEFAULT_BETAS)
+                for side in (0, 1):
+                    assert list(zip(kept[side][0].tolist(), kept[side][1].tolist())) == want[side]
+                    dropped += len(sides[side][0]) - len(want[side])
+        assert dropped > 0
+
+    def test_no_witness_clears_beta_1(self, settling):
+        """Side 1 lies 100 above side 0, out of every beta=1 disk of side 0: each
+        non-edge runs through every block of witnesses and is kept, and the
+        reports are ``verify``'s."""
+        gen = np.random.default_rng(30)
+        a = gen.uniform(0, 1, (30, 2)).tolist()
+        b = (gen.uniform(0, 1, (25, 2)) + (0.0, 100.0)).tolist()
+        d = DrawingPair(a, b, [(i, i + 1) for i in range(29)], [(i, i + 1) for i in range(24)])
+        sides = proximity._drawing_sides(d, proximity._pair_arrays)
+        kept = proximity._undecided(list(sides), DEFAULT_BETAS)
+        for k, (iu, jv, _, _, _, is_edge, _, _) in zip(kept, sides):
+            assert set(zip(iu[~is_edge].tolist(), jv[~is_edge].tolist())) <= \
+                set(zip(k[0].tolist(), k[1].tolist()))
+        want = [bits(verify(d, b)) for b in DEFAULT_BETAS]
+        assert [bits(r) for r in verify_universal(d)] == want and want[0][2]
+
+    def test_last_witness_of_the_largest_block_clears(self, settling):
+        """Of 56 witnesses (blocks of 8, 16 and 32), only the last lies in the beta=1
+        disk of (0, 0)-(1, 0): the non-edge is dropped, and the reports are ``verify``'s."""
+        d = DrawingPair([(0, 0), (1, 0)], [(x, 5.0) for x in np.linspace(-3, 3, 55).tolist()]
+                        + [(0.5, 0.1)])
+        m1 = pair_witness_margins(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]),
+                                  np.asarray(d.points1), 1.0)[0][0]
+        assert np.flatnonzero(m1 > 0).tolist() == [55]
+        kept = proximity._undecided(proximity._drawing_sides(d, proximity._pair_arrays),
+                                    DEFAULT_BETAS)
+        assert len(kept[0][0]) == 0
+        want = [bits(verify(d, b)) for b in DEFAULT_BETAS]
+        assert [bits(r) for r in verify_universal(d)] == want and want[0][2]
+
+    def test_memory_of_500_points_a_side(self):
+        """500 uniform points a side verify at every default beta within 64 MiB of
+        traced memory."""
+        gen = np.random.default_rng(500)
+        d = DrawingPair(gen.uniform(0, 1, (500, 2)).tolist(), gen.uniform(0, 1, (500, 2)).tolist())
+        tracemalloc.start()
+        try:
+            verify_universal(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
     def test_memory_of_an_all_edge_layout(self):
         """Two clouds of 160 uniform points, 1.5 apart, claiming every pair as
