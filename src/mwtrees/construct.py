@@ -14,10 +14,11 @@ Four constructions are provided:
 
 All constructions are deterministic.  Each recursion level is assembled
 and gated once: ``verify``'s stages judge the level's coordinate arrays
-strictly at beta 1 and beta inf, from one candidate search per side, and a
-failure raises DegenerateGeometry at once, naming the subtree vertex, the
-beta (1 first) and the first violation.  Caterpillars end with the same
-stages' closed check at beta 1 of their arrays.
+strictly at beta 1 and beta inf, after one first-clear pre-pass per side,
+and a failure raises DegenerateGeometry at once, naming the subtree vertex,
+the beta (1 first) and the first violation.  Caterpillars end with the same
+stages' closed check at beta 1 of their arrays, and their nudge state starts
+from the same first-clear scan.
 """
 from __future__ import annotations
 
@@ -61,8 +62,10 @@ from .proximity import (
     DrawingPair,
     ParallelogramAnnotation,
     SideVerdicts,
+    _first_clear,
     _judge,
     _reports,
+    _scanned,
     _side_pairs,
     _violated,
     strip_ratio,
@@ -206,7 +209,8 @@ def _gabriel_flags(X0: np.ndarray, X1: np.ndarray, edges0, edges1, held=None, ep
     else 0) and drift ``D``.  ``held`` is the state of this drawing less a block move by
     ``eps``, which moves every beta=1 margin and scale by at most ``eps``: a row with ``h >
     2 (D + eps) + rho`` keeps its verdict and adds ``eps + rho`` to ``D``, the others (the
-    band) are judged afresh."""
+    band) are judged afresh.  With no ``held``, each non-edge ``_first_clear`` clears starts
+    carried, with both hits, its margin ``m`` as depth, scale ``S`` and ``h = m - TOL S``."""
     X = np.concatenate((X0, X1))
     M, S = float(np.abs(X).max()), 2.0 * float(np.ptp(X, axis=0).max())
     # By _undecided's bound at beta=1 (u = 2**-53), h is within ~28*u*M of exact, a fresh
@@ -215,25 +219,29 @@ def _gabriel_flags(X0: np.ndarray, X1: np.ndarray, edges0, edges1, held=None, ep
     rho = 128 * 2.0 ** -53 * max(M, 2.0 ** -480) if ok else math.inf
     sides = []
     for s, (own, other, edges) in enumerate(((X0, X1, edges0), (X1, X0, edges1))):
-        if held is None:
+        if held is None:  # a state with nothing carried but the non-edges clear at beta=1
             pairs = _side_pairs(own, other, edges)
-        else:  # the band's rows, their candidates dropped as in _undecided
+            iu, jv, P, Q, _, is_edge = pairs
+            m = np.full(len(iu), math.nan)
+            if ok and _scanned(pairs):
+                m[~is_edge] = _first_clear(P[~is_edge], Q[~is_edge], other, TOL * S, rho)
+            hit = ~np.isnan(m)
+            v = SideVerdicts(iu, jv, is_edge, hit, hit, np.zeros(len(m), dtype=np.intp), m,
+                             np.full(len(m), S))
+            h, D = m - TOL * S, np.zeros(len(m))
+        else:
             v, h, D = (part[s] for part in held[2:])
-            band = (~(h > 2.0 * (D + eps) + rho)).nonzero()[0]  # a NaN stays in the band
-            pairs = (v.iu[band], v.jv[band], own[v.iu[band]], own[v.jv[band]], other,
-                     v.is_edge[band], None, S)
-        fresh = _judge(pairs, (1.0,), TOL)[0]
+        band = (~(h > 2.0 * (D + eps) + rho)).nonzero()[0]  # a NaN stays in the band
+        fresh = _judge((v.iu[band], v.jv[band], own[v.iu[band]], own[v.jv[band]], other,
+                        v.is_edge[band]), (1.0,), TOL)[0]
         new = np.where(fresh.open_hit, fresh.depth - TOL * fresh.scale,
                        np.where(fresh.closed_hit, 0.0, -fresh.depth - TOL * S))
-        if held is None:
-            v, h, D = fresh, new, np.full(len(new), 0.0 if ok else math.inf)
-        else:  # copies of the held rows, the band's judged afresh
-            rows = [a.copy() for a in (v.closed_hit, v.open_hit, v.witness, v.depth, v.scale, h)]
-            for a, b in zip(rows, (fresh.closed_hit, fresh.open_hit, fresh.witness,
-                                   fresh.depth, fresh.scale, new)):
-                a[band] = b
-            v, h, D = SideVerdicts(v.iu, v.jv, v.is_edge, *rows[:5]), rows[5], D + (eps + rho)
-            D[band] = 0.0 if ok else math.inf
+        rows = [a.copy() for a in (v.closed_hit, v.open_hit, v.witness, v.depth, v.scale, h)]
+        for a, b in zip(rows, (fresh.closed_hit, fresh.open_hit, fresh.witness,
+                               fresh.depth, fresh.scale, new)):
+            a[band] = b
+        v, h, D = SideVerdicts(v.iu, v.jv, v.is_edge, *rows[:5]), rows[5], D + (eps + rho)
+        D[band] = 0.0 if ok else math.inf
         sides.append((v, h, D))
     return (np.concatenate([_violated(v, "closed") for v, _, _ in sides]),
             ~np.concatenate([_violated(v, "strict") for v, _, _ in sides]), *zip(*sides))
@@ -473,7 +481,8 @@ class _Sub:
 
 def _gate_sub(sub: _Sub, v: int) -> None:
     """Raise DegenerateGeometry unless the subtree at ``v`` is strictly valid at beta 1 and
-    beta inf (hence, by nesting, at every beta), from one candidate search per side."""
+    beta inf (hence, by nesting, at every beta): ``_reports`` of the level's arrays, which
+    judges only the rows its first-clear pre-pass leaves."""
     if len(sub.sides[0].ids) < 2 and len(sub.sides[1].ids) < 2:
         return
     sides = [_side_pairs(a.xy, b.xy, a.edges) for a, b in (sub.sides, sub.sides[::-1])]

@@ -115,9 +115,14 @@ def angle_at(u: Sequence[float], apex: Sequence[float], v: Sequence[float]) -> f
 # beta regions
 # ---------------------------------------------------------------------------
 
+def _is_real(x) -> bool:
+    """A real, not a bool or np.bool_; ``float`` first, as the ABC check is slow."""
+    return isinstance(x, (float, numbers.Real)) and not isinstance(x, bool)
+
+
 def _is_beta(beta) -> bool:
-    """A real >= 1 or inf, not a bool or np.bool_; ``float`` first, as the ABC check is slow."""
-    return isinstance(beta, (float, numbers.Real)) and not isinstance(beta, bool) and beta >= 1.0
+    """A real >= 1 or inf (``_is_real``)."""
+    return _is_real(beta) and beta >= 1.0
 
 
 def beta_disks(p: Sequence[float], q: Sequence[float], beta: float):

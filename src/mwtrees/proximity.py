@@ -4,9 +4,10 @@ The extractor is the ground truth: a pair of one side is an edge exactly when
 no vertex of the other side lies in its beta region.  The verifier diffs a
 claimed drawing against that rule.  Every verdict, at one beta or at several,
 comes from one stage, ``_judge``, over one side's ``_side_pairs``, and every
-report from one, ``_reports``, which the construction gates call too.
-``verify_universal`` builds its sides with no candidate search
-(``_pair_arrays``) and drops a non-edge at its first witness clear at beta=1.
+report from one, ``_reports``, which the construction gates call too.  Before
+judging, ``_undecided`` drops each non-edge at its first witness clear at
+beta=1 and each edge clear at beta=inf: beta-regions nest, so these verdicts
+hold at every beta.
 """
 from __future__ import annotations
 
@@ -17,12 +18,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DegenerateInput, MissingAnnotation
-from .geometry import TOL, BETA_INF, Line, Point, _extent, _is_beta
+from .geometry import TOL, BETA_INF, Line, Point, _extent, _is_beta, _is_real
 from .tree_model import normalize_edges, vertex_id
 
 DEFAULT_BETAS: Tuple[float, ...] = (1.0, 1.5, 2.0, 5.0, 10.0, BETA_INF)
 _CHUNK = 1 << 16  # cells in one chunk of a (betas x pairs x witnesses) table: L2-sized
-_SETTLE_CELLS = 1 << 12  # up to here, one full table costs less than the candidates
+_SETTLE_CELLS = 1 << 12  # up to here, one full table costs less than the first-clear scan
 
 
 @dataclass(frozen=True)
@@ -140,10 +141,9 @@ def _dist_table(W: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 def _margins(P: np.ndarray, Q: np.ndarray, W: np.ndarray,
              betas: Tuple) -> Tuple[np.ndarray, np.ndarray]:
-    """``pair_witness_margins`` at each of ``betas``, also for one witness per pair: ``W`` of
-    shape ``(m, 1, 2)``.  The finite betas are one broadcast ``(betas, m, k)`` evaluation whose
-    floats are the one-beta ones; beta=inf and the scale are evaluated once.  Callers check the
-    betas (``_check_betas``)."""
+    """``pair_witness_margins`` at each of ``betas``.  The finite betas are one broadcast
+    ``(betas, m, k)`` evaluation whose floats are the one-beta ones; beta=inf and the scale are
+    evaluated once.  Callers check the betas (``_check_betas``)."""
     d = _dist_table(Q[:, None], P)  # (m, 1): |Q[m] - P[m]|
     if not d.all():
         raise DegenerateInput("beta region undefined for coincident points")
@@ -201,12 +201,7 @@ class SideVerdicts:
     ``closed_hit`` / ``open_hit`` say whether some witness lies within
     tolerance of the closed region / deeper than tolerance inside the open
     one; ``witness`` is the deepest witness, with its ``depth`` (margin)
-    and local ``scale``.  On tables above ``_SETTLE_CELLS`` cells, a non-edge
-    is *settled* when its candidate, the opposite point nearest its midpoint,
-    has margin above ``max(TOL, margin) * S``, ``S = 2 * max(bbox width, bbox
-    height)`` of both sides.  No scale exceeds ``S``, so both its hits are
-    true; its ``witness``/``depth``/``scale`` describe the candidate.  Judged at
-    several betas at once, a non-edge is settled only if it is at every one.
+    and local ``scale``, from the pair's full margin row.
     """
 
     iu: np.ndarray
@@ -219,9 +214,9 @@ class SideVerdicts:
     scale: np.ndarray
 
 
-def _pair_arrays(own: Sequence[Point], other: Sequence[Point], edges: Sequence[Tuple[int, int]]):
-    """``_side_pairs`` without the candidate search: pairs, endpoints, witnesses and edge mask,
-    with ``None`` for the candidates and ``S``."""
+def _side_pairs(own: Sequence[Point], other: Sequence[Point], edges: Sequence[Tuple[int, int]]):
+    """The beta-independent part of ``side_verdicts``: ``(iu, jv, P, Q, B, is_edge)``, the
+    pairs, their endpoints, the witnesses and the edge mask."""
     A = np.asarray(own, dtype=float).reshape(-1, 2)
     B = np.asarray(other, dtype=float).reshape(-1, 2)
     if not len(B):
@@ -237,24 +232,7 @@ def _pair_arrays(own: Sequence[Point], other: Sequence[Point], edges: Sequence[T
         normalize_edges(e.tolist(), n)  # raises, naming the first bad edge
     adj = np.zeros((n, n), dtype=bool)
     adj[u, v] = adj[v, u] = True
-    return iu, jv, A[iu], A[jv], B, adj[iu, jv], None, None
-
-
-def _side_pairs(own: Sequence[Point], other: Sequence[Point], edges: Sequence[Tuple[int, int]]):
-    """The beta-independent part of ``side_verdicts``: ``_pair_arrays``, and above
-    ``_SETTLE_CELLS`` cells each pair's candidate and ``S``."""
-    pairs = _pair_arrays(own, other, edges)
-    iu, jv, P, Q, B = pairs[:5]
-    if len(iu) * len(B) <= _SETTLE_CELLS:
-        return pairs
-    step = max(1, _CHUNK // len(B))
-    cand = np.zeros(len(iu), dtype=np.intp)
-    for i in range(0, len(iu), step):
-        cand[i:i + step] = _sq_table(B, 0.5 * (P[i:i + step] + Q[i:i + step])).argmin(axis=1)
-    A = np.asarray(own, dtype=float).reshape(-1, 2)
-    S = 2.0 * float(np.ptp(np.concatenate((A, B)), axis=0).max())
-    # while S * S is normal and finite, no computed scale exceeds S; else settle none
-    return pairs[:6] + (cand, S if 2.0 ** -1022 <= S * S < math.inf else math.inf)
+    return iu, jv, A[iu], A[jv], B, adj[iu, jv]
 
 
 def _full_rows(P: np.ndarray, Q: np.ndarray, W: np.ndarray, betas: Tuple, tol: float):
@@ -265,42 +243,24 @@ def _full_rows(P: np.ndarray, Q: np.ndarray, W: np.ndarray, betas: Tuple, tol: f
             marg[np.arange(len(betas))[:, None], r, best], scale[r, best])
 
 
-def _chunked_rows(P: np.ndarray, Q: np.ndarray, W: np.ndarray, betas: Tuple, tol: float):
-    """``_full_rows`` in ``(betas, pairs, witnesses)`` chunks of ``_CHUNK`` cells (or one
-    row), and in one chunk at least, so that a side without pairs still checks its betas."""
+def _judge(pairs, betas: Tuple, tol: float) -> List[SideVerdicts]:
+    """``side_verdicts`` at each of ``betas`` from the ``_side_pairs`` of one side: every row's
+    ``_full_rows`` in ``(betas, pairs, witnesses)`` chunks of ``_CHUNK`` cells (or one row), and
+    in one chunk at least, so that a side without pairs still checks its betas."""
+    iu, jv, P, Q, W, is_edge = pairs
     step = max(1, _CHUNK // (len(betas) * len(W)))
     rows = [_full_rows(P[i:i + step], Q[i:i + step], W, betas, tol)
             for i in range(0, max(len(P), 1), step)]
-    return rows[0] if len(rows) == 1 else [np.concatenate(f, axis=1) for f in zip(*rows)]
-
-
-def _judge(pairs, betas: Tuple, tol: float) -> List[SideVerdicts]:
-    """``side_verdicts`` at each of ``betas`` from the ``_side_pairs`` of one side.  A non-edge
-    whose candidate margin is above ``tol * S`` at every beta is settled and reports its
-    candidate at each; every other row is judged at all betas in one full-row pass."""
-    iu, jv, P, Q, B, is_edge, cand, S = pairs
-    if cand is None:
-        rows = _chunked_rows(P, Q, B, betas, tol)
-        return [SideVerdicts(iu, jv, is_edge, *v) for v in zip(*rows)]
-    marg, scale = _margins(P, Q, B[cand][:, None], betas)
-    settled = ~is_edge & (marg[..., 0] > tol * S).all(axis=0)  # a NaN settles nothing
-    rest = (~settled).nonzero()[0]
-    full = _chunked_rows(P[rest], Q[rest], B, betas, tol)
-    judged = []
-    for b, depth in enumerate(marg[..., 0]):
-        fields = [settled.copy(), settled.copy(), cand.copy(), depth, scale[:, 0].copy()]
-        for f, r in zip(fields, full):
-            f[rest] = r[b]
-        judged.append(SideVerdicts(iu, jv, is_edge, *fields))
-    return judged
+    rows = rows[0] if len(rows) == 1 else [np.concatenate(f, axis=1) for f in zip(*rows)]
+    return [SideVerdicts(iu, jv, is_edge, *v) for v in zip(*rows)]
 
 
 def side_verdicts(own: Sequence[Point], other: Sequence[Point], beta: float,
                   edges: Sequence[Tuple[int, int]] = ()) -> SideVerdicts:
     """Verdicts of every pair of ``own`` against the witnesses ``other``.
 
-    The tolerance is ``TOL`` times each witness's local scale.  Pairs not
-    settled get full margin rows, in tables of ``_CHUNK`` cells (or one row).
+    The tolerance is ``TOL`` times each witness's local scale.  Every pair
+    gets its full margin row, in tables of ``_CHUNK`` cells (or one row).
     ``own`` may have fewer than two points; ``other`` needs one.  ``edges``
     go through ``normalize_edges``, unless they are one integer array.
     """
@@ -330,7 +290,8 @@ def extract_mw_graphs(points0: Sequence[Point], points1: Sequence[Point],
     """Ground-truth mutual witness graphs of two point sets.
 
     An edge (u, v) is present on side i exactly when no point of the other
-    side lies in the (closed or open) beta region of u and v.
+    side lies in the (closed or open) beta region of u and v.  A pair with a
+    witness clear at beta=1 (``_undecided``) is no edge at any beta.
     """
     pts0 = [Point(*p) for p in points0]
     pts1 = [Point(*p) for p in points1]
@@ -338,9 +299,11 @@ def extract_mw_graphs(points0: Sequence[Point], points1: Sequence[Point],
         raise DegenerateInput("both sides need at least one point")
     _check_distinct(pts0, "side 0")
     _check_distinct(pts1, "side 1")
+    _check_betas(beta)
     result = []
-    for own, other in ((pts0, pts1), (pts1, pts0)):
-        v = side_verdicts(own, other, beta)
+    for pairs in _undecided([_side_pairs(pts0, pts1, ()), _side_pairs(pts1, pts0, ())],
+                            (beta,), TOL):
+        v = _judge(pairs, (beta,), TOL)[0]
         free = ~(v.closed_hit if closed else v.open_hit)
         result.append(tuple(zip(v.iu[free].tolist(), v.jv[free].tolist())))
     return result[0], result[1]
@@ -354,29 +317,30 @@ def verify(d: DrawingPair, beta: float, mode: str = "strict",
     ones, and ``strict`` demands both at once: adjacent pairs keep their
     closed region witness-free while non-adjacent pairs have a witness in
     the open region.  ``margin`` is the relative tolerance; it must be a
-    finite nonnegative real, and values below ``TOL`` mean ``TOL``.
+    finite nonnegative real, not a bool, and values below ``TOL`` mean ``TOL``.
     Violations carry the deepest witness margin; borderline verdicts
     (within tolerance of the boundary) are listed separately.
     """
     if mode not in ("open", "closed", "strict"):
         raise DegenerateInput(f"unknown mode {mode!r}")
-    if not (margin >= 0.0 and math.isfinite(margin)):
+    if not (_is_real(margin) and margin >= 0.0 and math.isfinite(margin)):
         raise DegenerateInput(f"margin must be a finite real >= 0, got {margin!r}")
     _check_betas(beta)
     return _reports(_drawing_sides(d), (beta,), mode, margin)[0]
 
 
-def _drawing_sides(d: DrawingPair, build=_side_pairs):
+def _drawing_sides(d: DrawingPair):
     X = [np.asarray(d.side(side), dtype=float) for side in (0, 1)]
-    return [build(X[side], X[1 - side], np.array(d.edges(side), dtype=np.intp))
+    return [_side_pairs(X[side], X[1 - side], np.array(d.edges(side), dtype=np.intp))
             for side in (0, 1)]
 
 
 def _reports(sides: list, betas: Tuple, mode: str, margin: float) -> List[VerificationReport]:
     """``verify`` at each of ``betas`` of a drawing whose sides' ``_side_pairs`` are ``sides``:
-    one ``_judge`` per side for all betas, then one report per beta."""
-    tol = max(TOL, margin)
-    judged = zip(*(_judge(p, betas, tol) for p in sides))
+    ``_undecided`` drops the rows beta=1 and beta=inf decide, one ``_judge`` per side judges
+    the rest at all betas, then one report per beta."""
+    tol = max(TOL, float(margin))
+    judged = zip(*(_judge(p, betas, tol) for p in _undecided(sides, betas, tol)))
     reports = []
     for beta, verdicts in zip(betas, judged):
         violations, borderline = [], []
@@ -392,11 +356,43 @@ def _reports(sides: list, betas: Tuple, mode: str, margin: float) -> List[Verifi
     return reports
 
 
-def _undecided(sides: list, betas: Tuple) -> list:
-    """A drawing's ``sides`` less the rows whose verdict beta=1 and beta=inf fix at all ``betas``.
-    A non-edge leaves at its first witness, in index order, that clears beta=1: witnesses go in
-    blocks of 8, 16, 32, ..., each against the rows still kept, in ``_CHUNK``-cell chunks."""
-    if not (betas and all(b >= 1.0 for b in betas)):
+def _first_clear(P: np.ndarray, Q: np.ndarray, B: np.ndarray, tol_s: float,
+                 slack: float) -> np.ndarray:
+    """Each pair's beta=1 margin ``m`` at the deepest witness of its first block of witnesses
+    with ``m - tol_s > slack``, or NaN where none clears.  Witnesses go in index order, in
+    blocks of 8, 16, 32, ..., each against the rows not yet clear, in ``_CHUNK``-cell chunks."""
+    d = _dist_table(Q[:, None], P)[:, 0]
+    if not d.all():
+        raise DegenerateInput("beta region undefined for coincident points")
+    # the kernel's beta=1 floats, r - |w - c| with r = d/2 and c = P/2 + Q/2, are monotone in
+    # |w - c|: a block's deepest margin is at the sqrt of its least square; NaN clears nothing
+    out, rows = np.full(len(P), math.nan), np.arange(len(P))
+    r, c, lo, width = 0.5 * d, 0.5 * P + 0.5 * Q, 0, 8
+    while lo < len(B) and len(rows):
+        W, near = B[lo:lo + width], np.empty(len(rows))
+        step = max(1, _CHUNK // len(W))
+        for i in range(0, len(rows), step):
+            near[i:i + step] = _sq_table(c[i:i + step], W).min(axis=0)  # (witness, row)
+        m = r - np.sqrt(near)
+        clear = m - tol_s > slack
+        out[rows[clear]] = m[clear]
+        rows, r, c = rows[~clear], r[~clear], c[~clear]
+        lo, width = lo + width, 2 * width
+    return out
+
+
+def _scanned(pairs) -> bool:
+    """The one size rule: a side of more ``_side_pairs`` cells than ``_SETTLE_CELLS`` is
+    first-clear scanned, a smaller one judged in full rows at once."""
+    return len(pairs[0]) * len(pairs[4]) > _SETTLE_CELLS
+
+
+def _undecided(sides: list, betas: Tuple, tol: float) -> list:
+    """A drawing's ``sides`` less the rows whose verdicts at tolerance ``tol`` beta=1 and
+    beta=inf fix at all ``betas``: a non-edge with a witness clear at beta=1 (``_first_clear``)
+    and an edge clear at beta=inf.  A side of up to ``_SETTLE_CELLS`` cells is kept whole."""
+    scan = [_scanned(p) for p in sides]
+    if not (any(scan) and betas and all(b >= 1.0 for b in betas)):
         return sides
     X = np.concatenate((sides[1][4], sides[0][4]))  # each side's witnesses: d's points
     M, S = float(np.abs(X).max()), 2.0 * float(np.ptp(X, axis=0).max())
@@ -407,43 +403,32 @@ def _undecided(sides: list, betas: Tuple) -> list:
     # of squares above (8*bmax*M)**2, a finite-beta margin is within 24*u*beta*M of exact
     # (centres and differences below 2*beta*M, ~8 roundings of 3*u*beta*M), a beta=inf one
     # within 37*u*M: 61*u*bmax*M between two, doubled; the floor covers 2**-533*bmax underflow.
+    # No scale exceeds S, so a dropped row is neither violated nor borderline at any beta.
     slack = 128 * 2.0 ** -53 * bmax * max(M, 2.0 ** -480)
-    for s, (iu, jv, P, Q, B, is_edge, _, S_) in enumerate(sides):
-        ne, ed, keep = np.flatnonzero(~is_edge), np.flatnonzero(is_edge), is_edge.copy()
-        d = _dist_table(Q[ne, None], P[ne])[:, 0]
-        if not d.all():
-            raise DegenerateInput("beta region undefined for coincident points")
-        # the kernel's beta=1 floats, r - |w - c| with r = d/2 and c = P/2 + Q/2, are monotone in
-        # |w - c|: a block's deepest margin is at the sqrt of its least square; NaN clears nothing
-        r, c, lo, width = 0.5 * d, 0.5 * P[ne] + 0.5 * Q[ne], 0, 8
-        while lo < len(B) and len(ne):
-            W, near = B[lo:lo + width], np.empty(len(ne))
-            step = max(1, _CHUNK // len(W))
-            for i in range(0, len(ne), step):
-                near[i:i + step] = _sq_table(c[i:i + step], W).min(axis=0)  # (witness, row)
-            clear = (r - np.sqrt(near)) - TOL * S > slack
-            ne, r, c = ne[~clear], r[~clear], c[~clear]
-            lo, width = lo + width, 2 * width
-        keep[ne] = True  # a non-edge with no witness clear at beta=1
+    kept = list(sides)
+    for s in np.flatnonzero(scan).tolist():
+        iu, jv, P, Q, B, is_edge = sides[s]
+        ne, ed, keep = ~is_edge, np.flatnonzero(is_edge), is_edge.copy()
+        keep[ne] = np.isnan(_first_clear(P[ne], Q[ne], B, tol * S, slack))
         step = max(1, _CHUNK // len(B))
         for rows in (ed[i:i + step] for i in range(0, len(ed), step)):
             marg, scale = pair_witness_margins(P[rows], Q[rows], B, BETA_INF)
-            marg += np.multiply(scale, TOL, out=scale)
+            marg += np.multiply(scale, tol, out=scale)
             keep[rows] = ~(marg.max(axis=1) < -slack)  # an edge clear at beta=inf
             del marg, scale  # before the next chunk's tables
-        sides[s] = (iu[keep], jv[keep], P[keep], Q[keep], B, is_edge[keep], None, S_)
-    return sides
+        kept[s] = (iu[keep], jv[keep], P[keep], Q[keep], B, is_edge[keep])
+    return kept
 
 
 def verify_universal(d: DrawingPair, betas: Optional[Sequence[float]] = None
                      ) -> List[VerificationReport]:
-    """Strict-mode ``verify`` at each listed beta (default sample), bit for bit.  Each side
-    builds its pairs with no candidate search, drops the pairs beta=1 and beta=inf decide for
-    every beta, and ``_reports`` judges the rest at every beta in one pass."""
+    """Strict-mode ``verify`` at each listed beta (default sample), bit for bit: each side's
+    pairs are built once, and ``_reports`` judges the rows its pre-pass leaves at every beta
+    in one pass."""
     betas = tuple(DEFAULT_BETAS if betas is None else betas)
     if not (betas and all(map(_is_beta, betas))):  # [], or verify's error at the first beta
         return [verify(d, b) for b in betas]
-    return _reports(_undecided(_drawing_sides(d, _pair_arrays), betas), betas, "strict", TOL)
+    return _reports(_drawing_sides(d), betas, "strict", TOL)
 
 
 # ---------------------------------------------------------------------------

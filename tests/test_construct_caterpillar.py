@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mwtrees.construct as construct
+import mwtrees.proximity as proximity
 from mwtrees.construct import compute_safe_perturbation, draw_caterpillar_pair, draw_star_pair
 from mwtrees.errors import DegenerateInput, NoSafeEps
 from mwtrees.geometry import TOL, Point
@@ -270,12 +271,51 @@ class TestKineticNudge:
             if held is not None:
                 held = (*held[:3], tuple(np.full(len(h), math.nan) for h in held[3]), held[4])
             flags = real(X0, X1, edges0, edges1, held, eps)
-            judged.append(all((D == 0.0).all() for D in flags[4]))
+            if held is not None:  # a first build carries the non-edges a scan clears
+                judged.append(all((D == 0.0).all() for D in flags[4]))
             return flags
 
         monkeypatch.setattr(construct, "_gabriel_flags", every_row)
         got = draw_caterpillar_pair(caterpillar_decompose(tree))
         assert len(judged) > 1 and all(judged)
+        assert got.trace.data == want.trace.data
+        assert [p.hex() for q in got.points0 + got.points1 for p in q] == \
+            [p.hex() for q in want.points0 + want.points1 for p in q]
+
+    @pytest.mark.parametrize("profile", sorted(NUDGED_GOLDEN),
+                             ids=lambda p: "-".join(map(str, p)))
+    def test_scan_seeded_state_draws_the_same(self, profile, monkeypatch):
+        """With every side first-clear scanned, a first build carries the non-edges
+        the scan clears: each seeded row's ``h - 2 D`` is at most its full-table
+        clearance, the first ``_judge`` of each side sees fewer rows than the side
+        has, and the drawing, its offsets and its trace are the default run's."""
+        tree = gen_random_caterpillar(len(profile), list(profile), 7)
+        want = draw_caterpillar_pair(caterpillar_decompose(tree))
+        monkeypatch.setattr(proximity, "_SETTLE_CELLS", 0)
+        seeded, judged = [], []
+        real_flags, real_judge = construct._gabriel_flags, construct._judge
+
+        def flags(X0, X1, edges0, edges1, held=None, eps=0.0):
+            got = real_flags(X0, X1, edges0, edges1, held, eps)
+            if held is None:  # the drawing's arrays, before the nudges move them
+                seeded.append((X0.copy(), X1.copy(), got))
+            return got
+
+        def judge(pairs, betas, tol):
+            judged.append(len(pairs[0]))
+            return real_judge(pairs, betas, tol)
+
+        monkeypatch.setattr(construct, "_gabriel_flags", flags)
+        monkeypatch.setattr(construct, "_judge", judge)
+        got = draw_caterpillar_pair(caterpillar_decompose(tree))
+        full = tree.n * (tree.n - 1) // 2
+        assert len(seeded) == 1 and all(0 < rows < full for rows in judged[:2])
+        X0, X1, state = seeded[0]
+        for s, (v, h, D) in enumerate(zip(*state[2:])):
+            carried = D > 0.0
+            assert carried.sum() == full - judged[s]
+            room = true_headroom(*((X0, X1) if s == 0 else (X1, X0)), v)
+            assert (h - 2.0 * D <= room)[carried].all()
         assert got.trace.data == want.trace.data
         assert [p.hex() for q in got.points0 + got.points1 for p in q] == \
             [p.hex() for q in want.points0 + want.points1 for p in q]

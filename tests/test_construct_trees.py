@@ -300,12 +300,12 @@ class TestRelabel:
 
 
 class TestGate:
-    """The per-level gate judges beta=1 and beta=inf together, from one candidate
-    search per side on the level's own arrays."""
+    """The per-level gate judges beta=1 and beta=inf together, from one pair build
+    per side on the level's own arrays."""
 
     @pytest.mark.parametrize("tree", ["depth3-n40", "pruned-m3"])
-    def test_one_search_per_side_and_level(self, monkeypatch, tree):
-        calls = {"search": 0, "levels": 0, "drawings": 0}
+    def test_one_pair_build_per_side_and_level(self, monkeypatch, tree):
+        calls = {"builds": 0, "levels": 0, "drawings": 0}
         inside = []
 
         def counted(name, key, when=lambda *a: True):
@@ -316,7 +316,7 @@ class TestGate:
                 return real(*args, **kwargs)
             monkeypatch.setattr(construct, name, wrapper)
 
-        counted("_side_pairs", "search")
+        counted("_side_pairs", "builds")
         counted("_gate_sub", "levels", lambda sub, v: max(len(s.ids) for s in sub.sides) >= 2)
         real_build, real_post = construct._build_levels, DrawingPair.__post_init__
 
@@ -340,7 +340,7 @@ class TestGate:
             rt = RootedTree.from_tree(gen_random_tree(40, 2, 3), 0)
             d = draw_tree_pair(rt, rt)
             assert calls["levels"] == sum(1 for kids in rt.children if kids)
-        assert calls["levels"] >= 4 and calls["search"] == 2 * calls["levels"]
+        assert calls["levels"] >= 4 and calls["builds"] == 2 * calls["levels"]
         assert calls["drawings"] == 0
         assert all(rep.ok for rep in verify_universal(d, (1.0, BETA_INF)))
         assert not hasattr(construct, "verify")

@@ -146,10 +146,11 @@ class TestVerify:
         with pytest.raises(DegenerateInput):
             verify(d, 1.0, "weird")
 
-    @pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf, -1e-3])
+    @pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf, -1e-3, True, np.True_,
+                                        "0.1", None])
     def test_bad_margin_rejected(self, margin):
         d = DrawingPair(PATH0, PATH1, PATH_EDGES, PATH_EDGES)
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(DegenerateInput, match="margin must be a finite real >= 0, got"):
             verify(d, 1.0, "strict", margin)
 
     def test_margin_below_tol_means_tol(self):
@@ -455,8 +456,8 @@ def corrupted_drawings(rng):
 
 @pytest.fixture(params=["default", "settle-all", "settle-all-row-chunks"])
 def settling(request, monkeypatch):
-    """Run a test as configured, with every table settled by candidates, and
-    with that plus one-row chunks."""
+    """Run a test as configured, with every side first-clear scanned (in reports,
+    in extraction and in the nudge seed), and with that plus one-row chunks."""
     if request.param != "default":
         monkeypatch.setattr(proximity, "_SETTLE_CELLS", 0)
     if request.param == "settle-all-row-chunks":
@@ -465,9 +466,10 @@ def settling(request, monkeypatch):
 
 
 class TestSettledVerdicts:
-    """The candidate stage of ``side_verdicts`` against full tables."""
+    """``verify``, ``extract_mw_graphs`` and ``side_verdicts`` against full tables,
+    with and without the first-clear pre-pass."""
 
-    @pytest.mark.parametrize("margin", [TOL, 1e-3])
+    @pytest.mark.parametrize("margin", [TOL, 1e-3, 0.1])
     @pytest.mark.parametrize("beta", [1.0, 1.7, 10.0, BETA_INF])
     def test_reports_bit_identical_to_full_table(self, rng, settling, beta, margin):
         for d in corrupted_drawings(rng):
@@ -479,33 +481,19 @@ class TestSettledVerdicts:
                     reference_graphs(d.points0, d.points1, beta, closed)
 
     @pytest.mark.parametrize("beta", [1.0, 1.7, BETA_INF])
-    def test_settled_pairs_follow_their_definition(self, rng, settling, beta):
-        """On tables above ``_SETTLE_CELLS`` cells, a non-edge whose candidate
-        (the opposite point nearest its midpoint) has margin above ``TOL * S``
-        reports that candidate; every other pair reports its full row's
-        deepest witness.  The hits are the full rows' either way."""
-        settled = 0
+    def test_every_row_reports_its_deepest_witness(self, rng, settling, beta):
+        """Every pair, also one the pre-pass would drop, reports its full row's
+        deepest witness, that witness's margin and scale, and the full row's hits."""
         for d in corrupted_drawings(rng):
             for side in (0, 1):
                 own, other = d.side(side), d.side(1 - side)
                 v = side_verdicts(own, other, beta, d.edges(side))
-                B = np.asarray(other)
-                ext = np.asarray(list(own) + list(other))
-                S = 2.0 * float((ext.max(axis=0) - ext.min(axis=0)).max())
-                rows = reference_rows(own, other, beta)
-                big = len(rows) * len(other) > proximity._SETTLE_CELLS
-                for r, (pair, row, srow) in enumerate(rows):
+                for r, (pair, row, srow) in enumerate(reference_rows(own, other, beta)):
                     assert v.closed_hit[r] == (row >= -TOL * srow).any()
                     assert v.open_hit[r] == (row > TOL * srow).any()
-                    mid = (np.asarray(own[pair[0]]) + np.asarray(own[pair[1]])) / 2
-                    k = int(np.argmin(((B - mid) ** 2).sum(axis=1)))
-                    if not (big and pair not in d.edges(side) and row[k] > TOL * S):
-                        k = int(np.argmax(row))
-                    else:
-                        settled += 1
+                    k = int(np.argmax(row))
                     assert (v.witness[r], v.depth[r].hex(), v.scale[r].hex()) == \
                         (k, row[k].hex(), srow[k].hex())
-        assert settled > 0
 
     @pytest.mark.parametrize("beta", [2.0, BETA_INF])
     def test_nearest_witness_outside_another_inside(self, settling, beta):
@@ -522,9 +510,9 @@ class TestSettledVerdicts:
                                          [(0.5 - 6e8, 0.5 + 6e8), (0.4, 0.55)]])
     def test_far_deep_borderline_witness_kept(self, settling, points1):
         """At beta=inf the far witness is the deepest and borderline at its
-        scale; the candidate near the midpoint is clear of tolerance at its
-        own scale, and at the larger bbox side, but not at ``S``.  So the
-        pair is not settled and keeps its borderline entry."""
+        scale; the witness near the midpoint is clear of tolerance at its own
+        scale, and at the larger bbox side, but not at ``S``.  So the pre-pass
+        keeps the pair, and it keeps its borderline entry."""
         points0 = [(0, 0), (1, 0)] if points1[0][1] == 1e10 else [(0, 0), (1, 1)]
         d = DrawingPair(points0, points1)
         rep = verify(d, BETA_INF, "strict")
@@ -590,8 +578,7 @@ class TestSettledVerdicts:
 
 
 class TestVerifyUniversal:
-    """``verify_universal`` builds each side's pairs once, for all betas, with no
-    candidate search; ``_side_pairs`` judged at several betas keeps its candidates."""
+    """``verify_universal`` builds each side's pairs once, for all betas."""
 
     @pytest.mark.parametrize("betas", [(1.0, 1.5, 1.7, 2.0, 10.0, BETA_INF), None])
     def test_bit_identical_to_verify_per_beta(self, rng, settling, betas):
@@ -599,25 +586,6 @@ class TestVerifyUniversal:
             want = [bits(verify(d, b)) for b in (DEFAULT_BETAS if betas is None else betas)]
             assert [bits(r) for r in verify_universal(d, betas)] == want
             assert any(r[2] for r in want)
-
-    def test_shared_pairs_keep_their_candidates(self, rng, settling):
-        """One side's ``_side_pairs`` judged at several betas in turn gives, at
-        each, every array ``side_verdicts`` gives: no beta moves the candidates.
-        In the last drawing, (0.95, 0.6) is nearest the midpoint of (0, 0)-(1, 0);
-        it lies outside the beta=2 region, which holds (0.5, 0.8), and inside
-        the beta=inf one."""
-        fields = ("iu", "jv", "is_edge", "closed_hit", "open_hit", "witness", "depth", "scale")
-        last = DrawingPair([(0, 0), (1, 0)], [(0.95, 0.6), (0.5, 0.8)])
-        for d in list(corrupted_drawings(rng)) + [last]:
-            for side in (0, 1):
-                args = (d.side(side), d.side(1 - side))
-                pairs = proximity._side_pairs(*args, d.edges(side))
-                for beta in (2.0, BETA_INF, 1.0, 1.7):
-                    got = proximity._judge(pairs, (beta,), TOL)[0]
-                    want = side_verdicts(*args, beta, d.edges(side))
-                    for f in fields:
-                        g, w = getattr(got, f), getattr(want, f)
-                        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (beta, f)
 
     def test_no_betas(self):
         assert verify_universal(DrawingPair(PATH0, PATH1, PATH_EDGES, PATH_EDGES), ()) == []
@@ -632,13 +600,13 @@ class TestVerifyUniversal:
 
     def test_pairs_found_once_per_side(self, rng, monkeypatch):
         calls = []
-        pair_arrays = proximity._pair_arrays
+        side_pairs = proximity._side_pairs
 
         def counted(*args):
             calls.append(len(args[0]))
-            return pair_arrays(*args)
+            return side_pairs(*args)
 
-        monkeypatch.setattr(proximity, "_pair_arrays", counted)
+        monkeypatch.setattr(proximity, "_side_pairs", counted)
         a, b = random_points(rng, 26), random_points(rng, 22)
         assert len(verify_universal(DrawingPair(a, b))) == len(DEFAULT_BETAS)
         assert calls == [26, 22]
@@ -708,7 +676,8 @@ def relabelled(d):
 def candidate_rule(d, betas):
     """Each side's pairs the pre-pass kept while it searched candidates: a non-edge whose
     witness nearest its midpoint has no beta=1 margin above ``TOL * S + slack``, and an
-    edge with a witness whose beta=inf margin is not below ``-TOL * scale - slack``."""
+    edge with a witness whose beta=inf margin is not below ``-TOL * scale - slack``.  A side
+    of up to ``_SETTLE_CELLS`` cells is kept whole."""
     X = np.asarray(list(d.points0) + list(d.points1), dtype=float)
     M, S = float(np.abs(X).max()), 2.0 * float(np.ptp(X, axis=0).max())
     bmax = max([1.0] + [float(b) for b in betas if b != BETA_INF])
@@ -717,6 +686,9 @@ def candidate_rule(d, betas):
     for side in (0, 1):
         A, B = (np.asarray(d.side(s), dtype=float) for s in (side, 1 - side))
         iu, jv = np.triu_indices(len(A), k=1)
+        if len(iu) * len(B) <= proximity._SETTLE_CELLS:
+            kept.append(list(zip(iu.tolist(), jv.tolist())))
+            continue
         P, Q = A[iu], A[jv]
         near = ((B[None] - (0.5 * (P + Q))[:, None]) ** 2).sum(axis=2).argmin(axis=1)
         m1 = pair_witness_margins(P, Q, B, 1.0)[0][np.arange(len(P)), near]
@@ -729,8 +701,8 @@ def candidate_rule(d, betas):
 
 
 class TestAllBetaPrePass:
-    """``verify_universal`` judges per beta only the pairs that beta=1 and
-    beta=inf leave undecided; the reports stay those of ``verify``."""
+    """Reports judge per beta only the pairs that beta=1 and beta=inf leave
+    undecided; the reports stay those of ``verify`` on full rows."""
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -773,44 +745,46 @@ class TestAllBetaPrePass:
     @pytest.mark.parametrize("scale, betas", [
         (1.0, ()), (1.0, (1.0, 0.5)), (1.0, (math.nan,)), (1e150, (1e3, 1e6)),
         (1e-160, (1.0,)), (1e200, (1.0,)), (1.0, (1.0, 1e300))])
-    def test_unbounded_rounding_keeps_every_row(self, scale, betas):
+    def test_unbounded_rounding_keeps_every_row(self, scale, betas, monkeypatch):
         """No betas, a beta outside [1, inf], ``S * S`` not normal and finite, or
         a sum of squares that may overflow at the largest finite beta: no row
-        is dropped, and the per-beta stage is today's."""
+        is dropped, also with every side scanned."""
+        monkeypatch.setattr(proximity, "_SETTLE_CELLS", 0)
         rt = RootedTree.from_tree(gen_random_tree(12, 3, max_depth=3), 0)
         d = draw_tree_pair(rt, rt)
         d = DrawingPair([(x * scale, y * scale) for x, y in d.points0],
                         [(x * scale, y * scale) for x, y in d.points1], d.edges0, d.edges1)
         sides = proximity._drawing_sides(d)
-        kept = proximity._undecided(list(sides), betas)
+        kept = proximity._undecided(list(sides), betas, TOL)
         assert all(a is b for k, s in zip(kept, sides) for a, b in zip(k, s))
 
-    def test_nan_margin_keeps_its_row(self):
+    def test_nan_margin_keeps_its_row(self, monkeypatch):
         """A row whose margin is NaN stays, whichever extreme would decide it."""
+        monkeypatch.setattr(proximity, "_SETTLE_CELLS", 0)
         rt = RootedTree.from_tree(gen_random_tree(12, 3, max_depth=3), 0)
         d = draw_tree_pair(rt, rt)
         sides = proximity._drawing_sides(d)
-        iu, jv, P, Q, B, is_edge, cand, S = sides[0]
-        first = proximity._undecided(list(sides), DEFAULT_BETAS)[0]
+        iu, jv, P, Q, B, is_edge = sides[0]
+        first = proximity._undecided(list(sides), DEFAULT_BETAS, TOL)[0]
         dropped = set(zip(iu.tolist(), jv.tolist())) - set(zip(first[0].tolist(), first[1].tolist()))
         rows = [r for r in range(len(iu)) if (int(iu[r]), int(jv[r])) in dropped]
         edge = next(r for r in rows if is_edge[r])
         non_edge = next(r for r in rows if not is_edge[r])
         P = P.copy()
         P[[edge, non_edge]] = math.nan
-        kept = proximity._undecided([(iu, jv, P, Q, B, is_edge, cand, S), sides[1]],
-                                    DEFAULT_BETAS)[0]
+        kept = proximity._undecided([(iu, jv, P, Q, B, is_edge), sides[1]], DEFAULT_BETAS,
+                                    TOL)[0]
         got = set(zip(kept[0].tolist(), kept[1].tolist()))
         assert {(int(iu[edge]), int(jv[edge])), (int(iu[non_edge]), int(jv[non_edge]))} <= got
 
     def test_kept_rows_are_the_candidate_rule(self, rng, settling):
-        """The search-free pre-pass keeps, row for row, what the midpoint-nearest
+        """The first-clear pre-pass keeps, row for row, what the midpoint-nearest
         candidate kept: a witness clears beta=1 exactly when the candidate does."""
         dropped = 0
         for d in list(corrupted_drawings(rng)) + list(tree_drawings()):
             for e in (d, relabelled(d)):
-                sides = proximity._drawing_sides(e, proximity._pair_arrays)
-                kept = proximity._undecided(list(sides), DEFAULT_BETAS)
+                sides = proximity._drawing_sides(e)
+                kept = proximity._undecided(list(sides), DEFAULT_BETAS, TOL)
                 want = candidate_rule(e, DEFAULT_BETAS)
                 for side in (0, 1):
                     assert list(zip(kept[side][0].tolist(), kept[side][1].tolist())) == want[side]
@@ -825,26 +799,27 @@ class TestAllBetaPrePass:
         a = gen.uniform(0, 1, (30, 2)).tolist()
         b = (gen.uniform(0, 1, (25, 2)) + (0.0, 100.0)).tolist()
         d = DrawingPair(a, b, [(i, i + 1) for i in range(29)], [(i, i + 1) for i in range(24)])
-        sides = proximity._drawing_sides(d, proximity._pair_arrays)
-        kept = proximity._undecided(list(sides), DEFAULT_BETAS)
-        for k, (iu, jv, _, _, _, is_edge, _, _) in zip(kept, sides):
+        sides = proximity._drawing_sides(d)
+        kept = proximity._undecided(list(sides), DEFAULT_BETAS, TOL)
+        for k, (iu, jv, _, _, _, is_edge) in zip(kept, sides):
             assert set(zip(iu[~is_edge].tolist(), jv[~is_edge].tolist())) <= \
                 set(zip(k[0].tolist(), k[1].tolist()))
         want = [bits(verify(d, b)) for b in DEFAULT_BETAS]
         assert [bits(r) for r in verify_universal(d)] == want and want[0][2]
 
-    def test_last_witness_of_the_largest_block_clears(self, settling):
+    def test_last_witness_of_the_largest_block_clears(self, settling, monkeypatch):
         """Of 56 witnesses (blocks of 8, 16 and 32), only the last lies in the beta=1
-        disk of (0, 0)-(1, 0): the non-edge is dropped, and the reports are ``verify``'s."""
+        disk of (0, 0)-(1, 0): the scanned non-edge is dropped, and the reports are
+        ``verify``'s."""
         d = DrawingPair([(0, 0), (1, 0)], [(x, 5.0) for x in np.linspace(-3, 3, 55).tolist()]
                         + [(0.5, 0.1)])
         m1 = pair_witness_margins(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]),
                                   np.asarray(d.points1), 1.0)[0][0]
         assert np.flatnonzero(m1 > 0).tolist() == [55]
-        kept = proximity._undecided(proximity._drawing_sides(d, proximity._pair_arrays),
-                                    DEFAULT_BETAS)
-        assert len(kept[0][0]) == 0
         want = [bits(verify(d, b)) for b in DEFAULT_BETAS]
+        monkeypatch.setattr(proximity, "_SETTLE_CELLS", 0)  # 56 cells: scan them
+        kept = proximity._undecided(proximity._drawing_sides(d), DEFAULT_BETAS, TOL)
+        assert len(kept[0][0]) == 0
         assert [bits(r) for r in verify_universal(d)] == want and want[0][2]
 
     def test_memory_of_500_points_a_side(self):
@@ -956,8 +931,8 @@ class TestMultiBetaStage:
         assert reported > 0
 
     def test_judge_hits_are_each_betas(self, rng, settling):
-        """Every beta's hits from one ``_judge`` pass are ``side_verdicts``'
-        at that beta; with no candidates, so is every field."""
+        """Every beta's arrays from one ``_judge`` pass are ``side_verdicts``'
+        at that beta, every field."""
         betas = (BETA_INF, 1.0, 1.7, 1.0)
         fields = ("iu", "jv", "is_edge", "closed_hit", "open_hit", "witness", "depth", "scale")
         for d in corrupted_drawings(rng):
@@ -966,26 +941,22 @@ class TestMultiBetaStage:
                 pairs = proximity._side_pairs(*args, d.edges(side))
                 for b, got in zip(betas, proximity._judge(pairs, betas, TOL)):
                     want = side_verdicts(*args, b, d.edges(side))
-                    for f in fields[:5] if pairs[6] is not None else fields:
+                    for f in fields:
                         g, w = getattr(got, f), getattr(want, f)
                         assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (b, f)
 
-    def test_candidate_reported_only_if_it_settles_every_beta(self, settling):
+    def test_deepest_witness_reported_at_each_beta(self, settling):
         """(0.95, 0.6) is nearest the midpoint of (0, 0)-(1, 0), outside the
         beta=2 region, which holds (0.5, 0.8), and inside the beta=inf one, where
-        (0.5, 0.8) is deeper.  Judged at beta=2 and beta=inf together, the pair
-        is not settled and reports its full row's witness at both; judged at
-        beta=inf alone, it is settled when candidates are searched."""
+        (0.5, 0.8) is deeper.  Judged at beta=2 and beta=inf together or at
+        beta=inf alone, the pair reports its full row's witness, (0.5, 0.8)."""
         d = DrawingPair([(0, 0), (1, 0)], [(0.95, 0.6), (0.5, 0.8)])
         pairs = proximity._side_pairs(d.points0, d.points1, ())
         both = proximity._judge(pairs, (2.0, BETA_INF), TOL)
         alone = proximity._judge(pairs, (BETA_INF,), TOL)[0]
         assert [v.witness[0] for v in both] == [1, 1] and both[1].depth[0] == 0.5
         assert all(v.closed_hit[0] and v.open_hit[0] for v in both + [alone])
-        settled = pairs[6] is not None
-        assert settled == (settling != "default")
-        assert alone.witness[0] == (0 if settled else 1)
-        assert alone.depth[0] == pytest.approx(0.05 if settled else 0.5)
+        assert alone.witness[0] == 1 and alone.depth[0] == 0.5
 
     def test_kernel_passes_do_not_grow_with_betas(self, rng, monkeypatch):
         """Six betas and twelve make the same number of ``_margins`` calls."""
