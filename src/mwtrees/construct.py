@@ -12,18 +12,19 @@ Four constructions are provided:
 * ``draw_pruned_tree_pair``-- a tree against itself minus a sparse leaf
   set, same universal validity.
 
-All constructions are deterministic.  Each recursion level is assembled
-and gated once: ``verify``'s stages judge the level's coordinate arrays
-strictly at beta 1 and beta inf, after one first-clear pre-pass per side,
-and a failure raises DegenerateGeometry at once, naming the subtree vertex,
-the beta (1 first) and the first violation.  Caterpillars end with the same
-stages' closed check at beta 1 of their arrays, and their nudge state starts
-from the same first-clear scan.
+All constructions are deterministic.  A subtree's drawing depends only on its
+ordered rooted shape, so each distinct shape in a call is assembled and gated once,
+and its repeats reuse that drawing: ``verify``'s stages judge the level's coordinate
+arrays strictly at beta 1 and beta inf, after one first-clear pre-pass per side, and a
+failure raises DegenerateGeometry at once, naming the subtree vertex, the beta (1
+first) and the first violation.  Caterpillars end with the same stages' closed check
+at beta 1 of their arrays, and their nudge state starts from the same first-clear scan.
 """
 from __future__ import annotations
 
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -304,13 +305,8 @@ def _draw_path_pair(cat: CaterpillarDecomposition) -> DrawingPair:
     order = [*cat.leaves[0][:1], *cat.spine, *cat.leaves[-1][-1:]]
     if order[-1] < order[0]:
         order.reverse()
-    pos0 = {}
-    pos1 = {}
-    for i, v in enumerate(order):
-        pos0[v] = Point(float(i), 0.0)
-        pos1[v] = Point(float(i), -0.5)
-    pts0 = tuple(pos0[v] for v in range(tree.n))
-    pts1 = tuple(pos1[v] for v in range(tree.n))
+    x = {v: float(i) for i, v in enumerate(order)}
+    pts0, pts1 = (tuple(Point(x[v], y) for v in range(tree.n)) for y in (0.0, -0.5))
     line = Line(Point(0.0, -0.25), Point(1.0, 0.0))
     trace = ConstructionTrace({"kind": "path", "north": 0.0, "south": -0.5})
     return DrawingPair(pts0, pts1, tree.edges, tree.edges,
@@ -451,7 +447,9 @@ class _Side(NamedTuple):
     """One side of a subtree drawing, its rows in pre-order of the ordered
     subtree: row 0 is the subtree root, then each child's block in child
     order.  ``xy`` holds one point per row and ``edges`` pairs of rows;
-    ``ids`` maps rows to vertex ids, for corner ids, messages and outputs."""
+    ``ids`` labels each row by its vertex's pre-order position in the
+    subtree (rows a pruned level deleted leave gaps on side 1), so a drawing
+    names no vertex and serves every subtree of its shape."""
 
     ids: np.ndarray
     xy: np.ndarray
@@ -461,16 +459,14 @@ class _Side(NamedTuple):
 @dataclass(frozen=True)
 class _Sub:
     """Subtree drawing in its own frame, with corner annotations: the roots,
-    row 0 of each side, sit at ``a0`` and ``a1``, and ``b0_id``/``b1_id``
-    name the vertices at the inner corners (None for a single vertex)."""
+    row 0 of each side, sit at ``a0`` and ``a1``, and a level's inner corners
+    ``b0`` and ``b1`` hold its first child's side-0 and last child's side-1 root."""
 
     sides: Tuple[_Side, _Side]
     a0: Point
     b0: Point
     a1: Point
     b1: Point
-    b0_id: Optional[int]
-    b1_id: Optional[int]
 
     def width(self) -> float:
         return self.a1.x - self.a0.x
@@ -479,10 +475,10 @@ class _Sub:
         return self.a0.y - self.a1.y
 
 
-def _gate_sub(sub: _Sub, v: int) -> None:
+def _gate_sub(sub: _Sub, v: int, name: Callable[[int, int], int] = lambda side, i: i) -> None:
     """Raise DegenerateGeometry unless the subtree at ``v`` is strictly valid at beta 1 and
     beta inf (hence, by nesting, at every beta): ``_reports`` of the level's arrays, which
-    judges only the rows its first-clear pre-pass leaves."""
+    judges only the rows its first-clear pre-pass leaves.  A row's id is ``name(side, label)``."""
     if len(sub.sides[0].ids) < 2 and len(sub.sides[1].ids) < 2:
         return
     sides = [_side_pairs(a.xy, b.xy, a.edges) for a, b in (sub.sides, sub.sides[::-1])]
@@ -493,10 +489,11 @@ def _gate_sub(sub: _Sub, v: int) -> None:
     for report in reports:
         if report.violations:
             first = report.violations[0]
+            labels = sub.sides[first.side].ids[list(first.pair)].tolist()
             raise DegenerateGeometry(
                 f"subtree at {v} fails strict verification at beta={report.beta}: "
                 f"{len(report.violations)} violation(s), first {first.kind} on side {first.side} "
-                f"pair {tuple(sorted(sub.sides[first.side].ids[list(first.pair)].tolist()))} "
+                f"pair {tuple(sorted(name(first.side, i) for i in labels))} "
                 f"margin {first.margin:.3e}")
 
 
@@ -527,8 +524,8 @@ def _proj(g: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 class _Stack(NamedTuple):
-    """One side of a level's children, stacked in child order: vertex ids,
-    points, edges as pairs of rows and as ``_edge_geom`` rows, and the first
+    """One side of a level's children, stacked in child order: row labels in
+    the level, points, edges as pairs of rows and as ``_edge_geom`` rows, and the first
     row (the child's root) and first edge row of each child with the totals
     appended."""
 
@@ -540,13 +537,15 @@ class _Stack(NamedTuple):
     edge_at: List[int]
 
 
-def _stack(sides: List[_Side], scale: List[float], shift: List[Tuple[float, float]]) -> _Stack:
-    """Stack the children's sides, child ``j`` scaled by ``scale[j]`` and
-    then shifted by ``shift[j]``."""
+def _stack(sides: List[_Side], scale: List[float], shift: List[Tuple[float, float]],
+           first: List[int]) -> _Stack:
+    """Stack the children's sides, child ``j`` scaled by ``scale[j]``, then
+    shifted by ``shift[j]``, and its labels offset by ``first[j]``, its root's
+    label in the level (side 0 keeps a row per vertex, so its sizes give it)."""
     at = list(accumulate((len(side.ids) for side in sides), initial=0))
     xy = np.concatenate([s * side.xy + t for side, s, t in zip(sides, scale, shift)])
     rows = np.concatenate([side.edges + a for side, a in zip(sides, at)])
-    return _Stack(np.concatenate([side.ids for side in sides]), xy, rows,
+    return _Stack(np.concatenate([side.ids + p for side, p in zip(sides, first)]), xy, rows,
                   _edge_geom(xy[rows[:, 0]], xy[rows[:, 1]]), at,
                   list(accumulate((len(side.edges) for side in sides), initial=0)))
 
@@ -557,7 +556,7 @@ def _xform_corners(sub: _Sub, s: float, tx: float, ty: float) -> _Sub:
     def f(p: Point) -> Point:
         return Point(s * p.x + tx, s * p.y + ty)
 
-    return _Sub((), f(sub.a0), f(sub.b0), f(sub.a1), f(sub.b1), sub.b0_id, sub.b1_id)
+    return _Sub((), f(sub.a0), f(sub.b0), f(sub.a1), f(sub.b1))
 
 
 def _place_children(subs: List[_Sub]) -> Tuple[List[_Sub], Tuple[_Stack, _Stack]]:
@@ -573,7 +572,8 @@ def _place_children(subs: List[_Sub]) -> Tuple[List[_Sub], Tuple[_Stack, _Stack]
     """
     scale = [1.0 / sub.height() for sub in subs]
     shift = [(-sub.a0.x * s, -sub.a1.y * s) for sub, s in zip(subs, scale)]
-    stacks = tuple(_stack([sub.sides[i] for sub in subs], scale, shift) for i in (0, 1))
+    first = list(accumulate((len(sub.sides[0].ids) for sub in subs), initial=1))
+    stacks = tuple(_stack([sub.sides[i] for sub in subs], scale, shift, first) for i in (0, 1))
     st0, st1 = stacks
     placed = [_xform_corners(sub, s, tx, ty) for sub, s, (tx, ty) in zip(subs, scale, shift)]
     lower = np.concatenate([np.full((len(sub.sides[0].ids), 2), kid.a1)
@@ -646,8 +646,6 @@ def _root_levels(placed: List[_Sub], stacks: Tuple[_Stack, _Stack],
                  w1_point: Optional[Point]) -> Tuple[float, float, Dict]:
     """Root elevation above/below the strip.
 
-    The level is assembled and gated once at this elevation.
-
     Three families of constraints, each solved exactly against the actual
     vertex positions: the perpendicular slab of every new root edge must
     exclude every opposite vertex; every non-adjacent pair formed by a new
@@ -669,9 +667,7 @@ def _root_levels(placed: List[_Sub], stacks: Tuple[_Stack, _Stack],
 
     # witness depth for non-adjacent pairs of the upper root
     z2_0 = -math.inf
-    for j, sub in enumerate(placed):
-        if w1_point is None and sub.b1_id is None:
-            continue
+    for j, sub in enumerate(placed):  # a single-vertex child adds no rows
         b = sub.b1 if w1_point is None else w1_point
         v = st0.xy[st0.at[j] + 1:st0.at[j + 1]]  # the child's side 0 but its root
         bnum = v[:, 1] - b.y
@@ -682,8 +678,6 @@ def _root_levels(placed: List[_Sub], stacks: Tuple[_Stack, _Stack],
 
     z2_1 = math.inf
     for j, sub in enumerate(placed):
-        if sub.b0_id is None:
-            continue
         b = sub.b0
         v = st1.xy[st1.at[j] + 1:st1.at[j + 1]]
         bnum = v[:, 1] - b.y
@@ -700,15 +694,9 @@ def _root_levels(placed: List[_Sub], stacks: Tuple[_Stack, _Stack],
     span = l1x - l0x
     h_contain = span / math.tan(alpha / 2.0)
 
-    elev = max(h_slab0, h_slab1, z2_0 - 1.0, -z2_1, h_contain - 1.0, 0.0)
-    elev = 1.05 * elev
-    info = {
-        "L0x": l0x, "L1x": l1x,
-        "h_slab": (h_slab0, h_slab1),
-        "z_dprime": (z2_0, z2_1),
-        "h_contain": h_contain,
-        "alpha": alpha,
-    }
+    elev = 1.05 * max(h_slab0, h_slab1, z2_0 - 1.0, -z2_1, h_contain - 1.0, 0.0)
+    info = {"L0x": l0x, "L1x": l1x, "h_slab": (h_slab0, h_slab1), "z_dprime": (z2_0, z2_1),
+            "h_contain": h_contain, "alpha": alpha}
     return elev, span, info
 
 
@@ -718,21 +706,21 @@ def _norms(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _choose_rotation(placed: List[_Sub], stacks: Tuple[_Stack, _Stack],
                      edges: List[np.ndarray], p0: Point, p1: Point) -> Tuple[Point, Dict]:
-    """Direction that becomes horizontal, satisfying all post-rotation checks."""
+    """Direction that becomes horizontal: ``p1 - r00`` turned by 0.9 gamma, which must
+    satisfy all post-rotation checks."""
     st0, st1 = stacks
     r00 = Point(*st0.xy[0].tolist())
     r1m = Point(*st1.xy[st1.at[-2]].tolist())
     base = vsub(p1, r00)
     gamma = min(angle_at(p1, r00, placed[0].b0), angle_at(p0, r1m, placed[-1].b1))
-    # Start close to the bound: the rotation angle controls the aspect ratio
-    # of the rotated drawing (width/height ~ cot of this angle), and small
+    # Close to the bound: the rotation angle controls the aspect ratio of
+    # the rotated drawing (width/height ~ cot of this angle), and small
     # angles compound into exponential coordinate growth across levels.
     gp = 0.9 * gamma
 
     # Every vertex but the two outer child roots (told apart by coordinates)
     # must turn out above r00 and below r1m, and no edge, the new root edges
-    # included, may turn vertical.  The vectors and norms do not depend on
-    # the trial angle.
+    # included, may turn vertical.
     xy = np.concatenate([st0.xy, st1.xy])
     x, y = xy[:, 0], xy[:, 1]
     keep = ~((x == r00.x) & (y == r00.y) | (x == r1m.x) & (y == r1m.y))
@@ -744,30 +732,30 @@ def _choose_rotation(placed: List[_Sub], stacks: Tuple[_Stack, _Stack],
     ex, ey = e[:, 2], e[:, 3]
     v_tol, e_tol = 1e-5 * _norms(vx, vy), 1e-7 * _norms(ex, ey)
 
-    for _ in range(600):
-        ca, sa = math.cos(gp), math.sin(gp)
-        f = unit((base[0] * ca - base[1] * sa, base[0] * sa + base[1] * ca))
+    ca, sa = math.cos(gp), math.sin(gp)
+    f = unit((base[0] * ca - base[1] * sa, base[0] * sa + base[1] * ca))
 
-        def above(vec) -> bool:
-            # the band gaps this guarantees feed the witness-depth bounds of
-            # the enclosing level, so keep them well clear of roundoff
-            return cross(f, vec) > 1e-5 * norm(vec)
+    def above(vec) -> bool:
+        # the band gaps this guarantees feed the witness-depth bounds of
+        # the enclosing level, so keep them well clear of roundoff
+        return cross(f, vec) > 1e-5 * norm(vec)
 
-        ok = (above(vsub(r1m, r00)) and above(vsub(p0, r1m)) and above(vsub(r00, p1))
-              and (f.x * vy - f.y * vx > v_tol).all()
-              and all(dot(f, vsub(b, a)) > 1e-9 * dist(a, b)
-                      for a, b in ((p0, r00), (r00, r1m), (r1m, p1)))
-              and not (np.abs(f.x * ex + f.y * ey) <= e_tol).any())
-        if ok:
-            return f, {"gamma": gamma, "gamma_prime": gp}
-        gp *= 0.9
-    raise DegenerateGeometry("no rotation angle satisfies the shape constraints")
+    if not (above(vsub(r1m, r00)) and above(vsub(p0, r1m)) and above(vsub(r00, p1))
+            and (f.x * vy - f.y * vx > v_tol).all()
+            and all(dot(f, vsub(b, a)) > 1e-9 * dist(a, b)
+                    for a, b in ((p0, r00), (r00, r1m), (r1m, p1)))
+            and not (np.abs(f.x * ex + f.y * ey) <= e_tol).any()):
+        raise DegenerateGeometry("no rotation angle satisfies the shape constraints")
+    return f, {"gamma": gamma, "gamma_prime": gp}
 
 
-def _assemble_level(subs: List[_Sub], root0: int, root1: int, *, w1_mode: bool = False,
+def _assemble_level(subs: List[_Sub], gone: Optional[Sequence[int]] = None,
                     trace_log: Optional[List[Dict]] = None) -> _Sub:
-    placed, stacks = _place_children(subs)
-    if w1_mode and placed[-1].b1_id is None:
+    """The level of the children's drawings ``subs``; with ``gone``, a pruned level: the
+    children below the last one's inner corner, less the side-1 rows labelled ``gone``."""
+    w1_mode = gone is not None
+    placed, stacks = _place_children(_prep_strip_ratios(subs) if w1_mode else subs)
+    if w1_mode and len(subs[-1].sides[0].ids) < 2:
         raise DegenerateGeometry("rightmost child has no inner corner vertex")
     elev, span, info = _root_levels(placed, stacks, placed[-1].b1 if w1_mode else None)
 
@@ -788,9 +776,9 @@ def _assemble_level(subs: List[_Sub], root0: int, root1: int, *, w1_mode: bool =
     theta = -math.atan2(f.y, f.x)
 
     # each side's rows: the new root, then the children's blocks
-    merged = [_Side(np.concatenate([[root], st.ids]), np.concatenate([[p], st.xy]),
+    merged = [_Side(np.concatenate([[0], st.ids]), np.concatenate([[p], st.xy]),
                     np.concatenate([st.rows + 1, [(0, k + 1) for k in st.at[:-1]]]))
-              for st, root, p in zip(stacks, (root0, root1), (p0, p1))]
+              for st, p in zip(stacks, (p0, p1))]
 
     # rotate about the centroid of all points, summed in row order as floats
     xy = np.concatenate([merged[0].xy, merged[1].xy])
@@ -823,46 +811,72 @@ def _assemble_level(subs: List[_Sub], root0: int, root1: int, *, w1_mode: bool =
             "offsets": [s.a0.x for s in placed],
         })
 
-    return _Sub((side0, side1), a0p, b0p, a1p, b1p, st0.ids.item(0), st1.ids.item(st1.at[-2]))
+    sub = _Sub((side0, side1), a0p, b0p, a1p, b1p)
+    return sub if gone is None else _delete_side1(sub, gone)
 
 
-def _canon_sub(v0: int, v1: int) -> _Sub:
-    a0, b0, a1, b1 = _CANON
-    no_edges = np.empty((0, 2), dtype=int)
-    return _Sub((_Side(np.array([v0]), np.array([a0]), no_edges),
-                 _Side(np.array([v1]), np.array([a1]), no_edges)), a0, b0, a1, b1, None, None)
+# The drawing of a single vertex: the base-case parallelogram's outer corners.
+_LEAF = _Sub(tuple(_Side(np.zeros(1, dtype=int), np.array([p]), np.empty((0, 2), dtype=int))
+                   for p in (_CANON[0], _CANON[2])), *_CANON)
 
 
-def _build_levels(rt: RootedTree, v: int, split: Callable[[int], bool],
-                  whole: Callable[[int], _Sub], level: Callable[[int, List[_Sub]], _Sub]) -> _Sub:
-    """Draw the subtree at ``v`` in left-to-right post-order, on explicit
-    stacks: a vertex that ``split`` accepts is the gated ``level`` of its
-    children's drawings, any other vertex is drawn by ``whole``."""
-    order, stack = [], [v]
+def _shape_keys(rt: RootedTree, order: List[Tuple[int, Optional[tuple]]]) -> Dict[int, int]:
+    """Each vertex's ordered shape, interned children first (``order`` reversed): its
+    children's keys, with the labels a pruned level deletes.  Equal keys draw equally."""
+    table: Dict[tuple, int] = {}
+    keys: Dict[int, int] = {}
+    for u, gone in reversed(order):
+        kids = tuple(keys[c] for c in rt.children[u])
+        keys[u] = table.setdefault(kids if gone is None else (kids, gone), len(table))
+    return keys
+
+
+def _build_levels(rt: RootedTree, split: Callable[[int], Optional[tuple]],
+                  side1: Callable[[int], int], trace_log: List[Dict], memo: Dict) -> _Sub:
+    """Draw ``rt`` in left-to-right post-order, on explicit stacks, gating each level.
+
+    ``split``, asked of the root and of each child of a pruned level, gives the labels a
+    pruned level at its vertex deletes, or None.  ``memo``, empty at first, keeps each
+    shape key's drawing while a repeat is to come: a repeat takes it, skips its subtree and
+    re-appends its slice of ``trace_log``.  ``side1`` names side-1 vertices in messages."""
+    order, stack = [], [(rt.root, True)]
     while stack:  # right-to-left pre-order, the reverse of the post-order
+        u, ask = stack.pop()
+        order.append((u, split(u) if ask else None))
+        stack.extend((c, order[-1][1] is not None) for c in rt.children[u])
+    keys, gone = _shape_keys(rt, order), dict(order)
+    left, stack = Counter(), [rt.root]
+    while stack:  # the vertices the walk visits: a repeat's subtree is not walked
         u = stack.pop()
-        order.append((u, split(u)))
-        if order[-1][1]:
+        left[keys[u]] += 1
+        if left[keys[u]] == 1:
             stack.extend(rt.children[u])
-    built: Dict[int, _Sub] = {}
-    for u, parts in reversed(order):
-        built[u] = level(u, [built.pop(c) for c in rt.children[u]]) if parts else whole(u)
-        if parts:
-            _gate_sub(built[u], u)
-    return built[v]
+    built, stack = {}, [(rt.root, -1)]
+    while stack:  # (vertex, -1) on entry, (vertex, its first trace level) on exit
+        u, start = stack.pop()
+        k = keys[u]
+        if start < 0:
+            left[k] -= 1
+            if k in memo:
+                built[u], a, b = memo[k] if left[k] else memo.pop(k)
+                trace_log.extend(trace_log[a:b])
+            elif rt.children[u]:
+                stack.append((u, len(trace_log)))
+                stack.extend((c, -1) for c in reversed(rt.children[u]))
+            else:
+                built[u] = _LEAF
+            continue
+        built[u] = _assemble_level([built.pop(c) for c in rt.children[u]], gone[u], trace_log)
+        _gate_sub(built[u], u, name=lambda s, i: (side1 if s else int)(rt.subtree_vertices(u)[i]))
+        if left[k]:
+            memo[k] = (built[u], start, len(trace_log))
+    return built[rt.root]
 
 
-def _build_tree_sub(rt: RootedTree, v: int, side1: Callable[[int], int],
-                    trace_log: Optional[List[Dict]] = None) -> _Sub:
-    return _build_levels(
-        rt, v, lambda u: bool(rt.children[u]), lambda u: _canon_sub(u, side1(u)),
-        lambda u, subs: _assemble_level(subs, u, side1(u), trace_log=trace_log))
-
-
-def _points_by_id(side: _Side) -> list:
-    """The side's points placed at their ids, a permutation of ``range(len(ids))``."""
-    out = np.empty_like(side.xy)
-    out[side.ids] = side.xy
+def _points_by_id(xy: np.ndarray, ids) -> list:
+    """The rows of ``xy`` placed at their ``ids``, a permutation of ``range(len(xy))``."""
+    out = np.empty_like(xy)
+    out[ids] = xy
     return out.tolist()
 
 
@@ -881,14 +895,16 @@ def draw_tree_pair(rt0: RootedTree, rt1: RootedTree) -> ParallelogramDrawing:
     """
     mapping = rooted_isomorphism(rt0, rt1)
     levels: List[Dict] = []
-    sub = _build_tree_sub(rt0, rt0.root, lambda u: mapping[u], levels)
+    sub = _build_levels(rt0, lambda u: None, mapping.__getitem__, levels, {})
     _check_dynamic_range(sub)
+    pre, kids = rt0.subtree_vertices(rt0.root), rt0.children[rt0.root]  # rows in pre-order
     ann = ParallelogramAnnotation(
-        sub.a0, sub.b0, sub.a1, sub.b1,
-        a0_id=rt0.root, b0_id=sub.b0_id, a1_id=rt1.root, b1_id=sub.b1_id)
+        sub.a0, sub.b0, sub.a1, sub.b1, a0_id=rt0.root, b0_id=kids[0] if kids else None,
+        a1_id=rt1.root, b1_id=mapping[kids[-1]] if kids else None)
     edges1 = tuple((mapping[a], mapping[b]) for a, b in rt0.tree.edges)
     trace = ConstructionTrace({"kind": "tree", "levels": levels})
-    return DrawingPair(*map(_points_by_id, sub.sides),
+    return DrawingPair(_points_by_id(sub.sides[0].xy, pre),
+                       _points_by_id(sub.sides[1].xy, [mapping[u] for u in pre]),
                        rt0.tree.edges, edges1, parallelogram=ann, trace=trace)
 
 
@@ -901,10 +917,8 @@ def _sub_ratio(sub: _Sub) -> float:
 
 
 def _lower_sub(sub: _Sub, t: float) -> _Sub:
-    u0 = unit(vsub(sub.a0, sub.b0))
-    u1 = unit(vsub(sub.a1, sub.b1))
-    na0 = Point(sub.a0.x + t * u0.x, sub.a0.y + t * u0.y)
-    na1 = Point(sub.a1.x + t * u1.x, sub.a1.y + t * u1.y)
+    u0, u1 = unit(vsub(sub.a0, sub.b0)), unit(vsub(sub.a1, sub.b1))
+    na0, na1 = (Point(a.x + t * u.x, a.y + t * u.y) for a, u in ((sub.a0, u0), (sub.a1, u1)))
     sides = tuple(side._replace(xy=np.concatenate([[p], side.xy[1:]]))
                   for side, p in zip(sub.sides, (na0, na1)))
     return replace(sub, sides=sides, a0=na0, a1=na1)
@@ -919,7 +933,7 @@ def _sub_from_drawing(d: DrawingPair) -> _Sub:
         ids[[0, root]] = root, 0  # a swap, its own inverse: also each id's row
         sides.append(_Side(ids, np.array(pts, dtype=float)[ids],
                            ids[np.array(edges, dtype=int).reshape(-1, 2)]))
-    return _Sub(tuple(sides), ann.a0, ann.b0, ann.a1, ann.b1, ann.b0_id, ann.b1_id)
+    return _Sub(tuple(sides), ann.a0, ann.b0, ann.a1, ann.b1)
 
 
 def lower_strip_ratio(pd: ParallelogramDrawing, eps: float) -> ParallelogramDrawing:
@@ -939,11 +953,8 @@ def lower_strip_ratio(pd: ParallelogramDrawing, eps: float) -> ParallelogramDraw
     if pd.parallelogram.a0_id is None or pd.parallelogram.a1_id is None:
         raise MissingAnnotation("parallelogram names no root vertex at a0 or a1")
     sub = _sub_from_drawing(pd)
-    band = sub.b1.y - sub.b0.y
-    height = sub.a0.y - sub.a1.y
-    u0 = unit(vsub(sub.a0, sub.b0))
-    u1 = unit(vsub(sub.a1, sub.b1))
-    dy = u0.y - u1.y
+    band, height = sub.b1.y - sub.b0.y, sub.height()
+    dy = unit(vsub(sub.a0, sub.b0)).y - unit(vsub(sub.a1, sub.b1)).y
     if dy <= 0.0:
         raise DegenerateGeometry("root rays do not widen the drawing")
     t = (band / (0.5 * eps) - height) / dy
@@ -952,7 +963,7 @@ def lower_strip_ratio(pd: ParallelogramDrawing, eps: float) -> ParallelogramDraw
         raise DegenerateGeometry(f"lowered strip ratio {_sub_ratio(cand)!r} is not below {eps!r}")
     _gate_sub(cand, pd.parallelogram.a0_id)
     new_ann = replace(pd.parallelogram, a0=cand.a0, a1=cand.a1)
-    points0, points1 = map(_points_by_id, cand.sides)
+    points0, points1 = (_points_by_id(side.xy, side.ids) for side in cand.sides)
     return replace(pd, points0=points0, points1=points1, parallelogram=new_ann)
 
 
@@ -980,43 +991,24 @@ def _prep_strip_ratios(subs: List[_Sub]) -> List[_Sub]:
         raise DegenerateGeometry("shared witness corner is not above the strip middle")
     target = 0.5 + 0.5 * (lam - 0.5)
     out = []
-    for j, sub in enumerate(subs):
-        if j == len(subs) - 1:
-            out.append(sub)
-            continue
-        cur = sub
-        for _ in range(200):
+    for cur in subs[:-1]:
+        for _ in range(200):  # random sparse sets need up to 11 lowerings
             if _side0_band_top(cur) < target:
                 break
             cur = _lower_sub(cur, cur.height())
         else:
             raise DegenerateGeometry("could not push a sibling band below the witness")
         out.append(cur)
-    return out
+    return out + [last]
 
 
-def _delete_side1(sub: _Sub, gone: Set[int]) -> _Sub:
+def _delete_side1(sub: _Sub, gone: Sequence[int]) -> _Sub:
+    """``sub`` less the side-1 rows labelled ``gone`` and their edges."""
     side = sub.sides[1]
     keep = np.array([v not in gone for v in side.ids.tolist()], dtype=bool)
     row = np.cumsum(keep) - 1  # each kept row's new row
     edges = side.edges[keep[side.edges].all(axis=1)]
     return replace(sub, sides=(sub.sides[0], _Side(side.ids[keep], side.xy[keep], row[edges])))
-
-
-def _build_pruned_sub(rt: RootedTree, v: int, members: frozenset,
-                      trace_log: Optional[List[Dict]] = None) -> _Sub:
-    def split(u: int) -> bool:  # holds set leaves, and is the root or of type D
-        return (not members.isdisjoint(rt.subtree_vertices(u))
-                and (u == v or subtree_type(rt, u, members) == "D"))
-
-    def level(u: int, subs: List[_Sub]) -> _Sub:
-        gone = {x for c in rt.children[u] if subtree_type(rt, c, members) == "B"
-                for x in rt.children[c] if x in members}
-        sub = _assemble_level(_prep_strip_ratios(subs), u, u, w1_mode=True, trace_log=trace_log)
-        return _delete_side1(sub, gone)
-
-    return _build_levels(rt, v, split, lambda u: _build_tree_sub(rt, u, lambda x: x, trace_log),
-                         level)
 
 
 def draw_pruned_tree_pair(rt: RootedTree, leaf_set) -> DrawingPair:
@@ -1032,21 +1024,29 @@ def draw_pruned_tree_pair(rt: RootedTree, leaf_set) -> DrawingPair:
     if not ok:
         raise SparseViolation(f"leaf set is not sparse: {violations[:3]}")
     rt_ord = reorder_children_for_pruning(rt, members)
-    levels: List[Dict] = []
-    sub = _build_pruned_sub(rt_ord, rt_ord.root, members, levels)
 
+    def split(u: int) -> Optional[tuple]:
+        """A vertex holding set leaves, the root or of type D, is a pruned level: the labels
+        of the set leaves of its type-B children."""
+        pre = rt_ord.subtree_vertices(u)
+        if members.isdisjoint(pre) or u != rt_ord.root and subtree_type(rt_ord, u, members) != "D":
+            return None
+        return tuple(pre.index(x) for c in rt_ord.children[u]
+                     if subtree_type(rt_ord, c, members) == "B"
+                     for x in rt_ord.children[c] if x in members)
+
+    levels: List[Dict] = []
+    sub = _build_levels(rt_ord, split, int, levels, {})
+    pre, kids = np.array(rt_ord.subtree_vertices(rt_ord.root)), rt_ord.children[rt_ord.root]
     side0, side1 = sub.sides
-    out1 = np.searchsorted(np.sort(side1.ids), side1.ids)  # each side-1 row's output id
-    relabel = dict(sorted(zip(side1.ids.tolist(), out1.tolist())))
+    ids1 = pre[side1.ids]
+    out1 = np.searchsorted(np.sort(ids1), ids1)  # each side-1 row's output id
+    relabel = dict(sorted(zip(ids1.tolist(), out1.tolist())))
     _check_dynamic_range(sub)
     ann = ParallelogramAnnotation(
         sub.a0, sub.b0, sub.a1, sub.b1,
-        a0_id=rt.root, b0_id=sub.b0_id, a1_id=out1.item(0), b1_id=relabel[sub.b1_id])
-    trace = ConstructionTrace({
-        "kind": "pruned",
-        "levels": levels,
-        "removed": sorted(members),
-        "side1_relabel": {str(k): v for k, v in relabel.items()},
-    })
-    return DrawingPair(_points_by_id(side0), _points_by_id(side1._replace(ids=out1)),
+        a0_id=rt.root, b0_id=kids[0], a1_id=out1.item(0), b1_id=relabel[kids[-1]])
+    trace = ConstructionTrace({"kind": "pruned", "levels": levels, "removed": sorted(members),
+                               "side1_relabel": {str(k): v for k, v in relabel.items()}})
+    return DrawingPair(_points_by_id(side0.xy, pre), _points_by_id(side1.xy, out1),
                        rt.tree.edges, out1[side1.edges].tolist(), parallelogram=ann, trace=trace)

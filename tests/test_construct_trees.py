@@ -26,6 +26,7 @@ from mwtrees.tree_model import (
     gen_corollary_family,
     gen_random_caterpillar,
     gen_random_tree,
+    is_sparse,
     isomorphism_map,
 )
 
@@ -239,6 +240,15 @@ class TestGolden:
         assert str(err.value) == "coordinate dynamic range exceeds 1e12"
 
 
+    def test_side1_message_names_side1_vertices(self):
+        """A gate below the root fails on side 1 of a shuffled pair: the pair is named by
+        side-1 vertex ids, through the isomorphism."""
+        with pytest.raises(DegenerateGeometry) as err:
+            draw_tree_pair(*shuffled_pair(70, 3, 12))
+        assert str(err.value) == (
+            "subtree at 1 fails strict verification at beta=1.0: 1 violation(s), "
+            "first MissingWitness on side 1 pair (14, 48) margin -5.125e-17")
+
     def test_coincident_points_are_a_geometry_failure(self):
         """Points the construction made coincide: the gate names the subtree."""
         rt = RootedTree.from_tree(gen_random_tree(400, 5, 20), 0)
@@ -339,7 +349,11 @@ class TestGate:
         else:
             rt = RootedTree.from_tree(gen_random_tree(40, 2, 3), 0)
             d = draw_tree_pair(rt, rt)
-            assert calls["levels"] == sum(1 for kids in rt.children if kids)
+            shapes = {}  # each vertex's ordered rooted shape as nested tuples
+            for u in reversed(rt.subtree_vertices(rt.root)):
+                shapes[u] = tuple(shapes[c] for c in rt.children[u])
+            # one gated level per distinct shape: 12 vertices with children, 10 shapes
+            assert calls["levels"] == len({shapes[u] for u in shapes if rt.children[u]}) == 10
         assert calls["levels"] >= 4 and calls["builds"] == 2 * calls["levels"]
         assert calls["drawings"] == 0
         assert all(rep.ok for rep in verify_universal(d, (1.0, BETA_INF)))
@@ -353,9 +367,147 @@ class TestGate:
                                  np.array([[1, 0]])),
                  construct._Side(np.array([4, 8]), np.array([[1.0, 1.5], [1.0, 40.0]]),
                                  np.array([[1, 0]])))
-        sub = construct._Sub(sides, *construct._CANON, None, None)
+        sub = construct._Sub(sides, *construct._CANON)
         with pytest.raises(DegenerateGeometry) as err:
             construct._gate_sub(sub, 9)
         assert str(err.value) == (
             "subtree at 9 fails strict verification at beta=inf: 1 violation(s), "
             "first ForbiddenWitness on side 0 pair (3, 7) margin 1.000e+00")
+
+
+def fingerprint(draw):
+    """sha256 of a drawing's float.hex points, edges, trace and annotation, or the
+    DegenerateGeometry message it raises."""
+    try:
+        d = draw()
+    except DegenerateGeometry as err:
+        return f"DegenerateGeometry: {err}"
+    a = d.parallelogram
+    text = repr((hexes(d.points0), hexes(d.points1), d.edges0, d.edges1, d.trace.data,
+                 hexes((a.a0, a.b0, a.a1, a.b1)), (a.a0_id, a.b0_id, a.a1_id, a.b1_id)))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def sparse_pruned(n, seed):
+    """A random depth-4 tree with a greedy sparse set of its leaves."""
+    rt = RootedTree.from_tree(gen_random_tree(n, seed, 4), 0)
+    members = set()
+    for v in random.Random(seed).sample(range(n), n):
+        if rt.is_leaf(v) and is_sparse(rt, members | {v})[0]:
+            members.add(v)
+    return rt, members
+
+
+def memo_inputs():
+    """Pruned corollary trees, random trees of depth 3 and 6, paths, random sparse
+    sets, and relabelled tree pairs whose two sides differ."""
+    cases = {f"pruned-m{m}": (draw_pruned_tree_pair, gen_corollary_family(m))
+             for m in range(1, 13)}
+    for depth, n, seed in ((3, 40, 2), (3, 56, 7), (6, 30, 1), (6, 40, 3), (6, 70, 1)):
+        rt = RootedTree.from_tree(gen_random_tree(n, seed, depth), 0)
+        cases[f"depth{depth}-n{n}-s{seed}"] = (draw_tree_pair, (rt, rt))
+    for h in (8, 12, 16):
+        path = rooted([(i, i + 1) for i in range(h)], h + 1)
+        cases[f"path-h{h}"] = (draw_tree_pair, (path, path))
+    for n, seed in ((30, 3), (45, 2), (60, 4)):
+        cases[f"sparse-n{n}-s{seed}"] = (draw_pruned_tree_pair, sparse_pruned(n, seed))
+    for seed in (4, 5):
+        rt = RootedTree.from_tree(gen_random_tree(50, seed, 3), 0)
+        perm = list(range(50))
+        random.Random(seed).shuffle(perm)
+        other = relabelled(rt, perm)
+        # side 1 takes its child order from its own labels, not from rt's
+        other = other.with_children({u: sorted(kids) for u, kids in enumerate(other.children)})
+        assert other != rt
+        cases[f"relabel-s{seed}"] = (draw_tree_pair, (rt, other))
+    cases["relabel-gate"] = (draw_tree_pair, shuffled_pair(70, 3, 12))
+    # equal shapes of which only some hold a set leaf
+    for m, keep in ((2, [0]), (3, [1]), (4, [0, 3])):
+        rt, leaves = gen_corollary_family(m)
+        cases[f"corollary-m{m}-of-{keep}"] = (draw_pruned_tree_pair,
+                                             (rt, [sorted(leaves.leaf_ids)[i] for i in keep]))
+    # a pruned level (1, set leaf 6) whose children, put in type order, have the
+    # ordered shapes of a plain vertex's (7): its key is not its children's alone
+    twins = rooted([(0, 1), (0, 7), (1, 2), (1, 4), (2, 3), (4, 5), (4, 6), (7, 8), (7, 11),
+                    (8, 9), (8, 10), (11, 12)], 13)
+    cases["pruned-beside-plain"] = (draw_pruned_tree_pair, (twins, [6]))
+    # two pruned levels whose children have equal shapes, with two and one set leaves
+    trio = rooted([(0, 1), (0, 11)] + [(p, p + 3 * j + 1) for p in (1, 11) for j in range(3)]
+                  + [(c, c + i) for p in (1, 11) for c in range(p + 1, p + 9, 3) for i in (1, 2)],
+                  21)
+    cases["pruned-twins"] = (draw_pruned_tree_pair, (trio, [4, 7, 14]))
+    return cases
+
+
+def shuffled_pair(n, seed, depth):
+    """``gen_random_tree(n, seed, depth)`` rooted at 0 against a shuffled copy."""
+    t0 = gen_random_tree(n, seed, depth)
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    t1 = Tree(n, tuple((perm[u], perm[v]) for u, v in t0.edges))
+    return RootedTree.from_tree(t0, 0), RootedTree.from_tree(t1, perm[0])
+
+
+class Recording(dict):
+    """A memo that counts its stores, and whether its call returned."""
+
+    stored, returned = 0, False
+
+    def __setitem__(self, key, value):
+        self.stored += 1
+        super().__setitem__(key, value)
+
+
+class TestShapeMemo:
+    """Each distinct ordered shape is drawn and gated once a call; its repeats reuse the
+    drawing and its trace levels, bit for bit as drawing each of them anew."""
+
+    @pytest.fixture
+    def memos(self, monkeypatch):
+        """Every call's memo, recorded as it was left."""
+        seen, real = [], construct._build_levels
+
+        def build(*args):
+            seen.append(Recording())
+            sub = real(*args[:-1], seen[-1])
+            seen[-1].returned = True
+            return sub
+        monkeypatch.setattr(construct, "_build_levels", build)
+        return seen
+
+    def test_memo_off_draws_the_same(self, monkeypatch, memos):
+        cases = memo_inputs()
+        with_memo = {name: fingerprint(lambda: draw(*args)) for name, (draw, args) in cases.items()}
+        assert sum(m.stored for m in memos) > 0
+        # each key is dropped after its last repeat
+        assert all(not m for m in memos if m.returned) and sum(m.returned for m in memos) > 15
+        # every vertex its own key: no repeats, nothing stored
+        monkeypatch.setattr(construct, "_shape_keys", lambda rt, order: {u: u for u, _ in order})
+        memos.clear()
+        without = {name: fingerprint(lambda: draw(*args)) for name, (draw, args) in cases.items()}
+        assert with_memo == without
+        assert sum(m.stored for m in memos) == 0
+        fails = [name for name, fp in with_memo.items() if fp.startswith("DegenerateGeometry")]
+        assert {"pruned-m11", "pruned-m12"} <= set(fails) and len(fails) < len(cases) // 2
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_corollary_family_assembles_four_levels(self, monkeypatch, memos, m):
+        assembled, real = [], construct._assemble_level
+
+        def assemble(*args, **kwargs):
+            assembled.append(True)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(construct, "_assemble_level", assemble)
+        try:
+            levels = len(draw_pruned_tree_pair(*gen_corollary_family(m)).trace.data["levels"])
+            assert levels == 3 * m + 1  # the repeats' trace levels are all there
+        except DegenerateGeometry:
+            assert m in (11, 12)  # the root's gate: its children were drawn first
+        assert len(assembled) == 4
+        assert [m_.stored for m_ in memos] == [int(m > 1)]  # the root's children, once
+
+    @pytest.mark.parametrize("h", [8, 12, 16])
+    def test_path_stores_nothing(self, memos, h):
+        path = rooted([(i, i + 1) for i in range(h)], h + 1)
+        draw_tree_pair(path, path)
+        assert [m.stored for m in memos] == [0]
