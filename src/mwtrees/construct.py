@@ -18,7 +18,8 @@ and its repeats reuse that drawing: ``verify``'s stages judge the level's coordi
 arrays strictly at beta 1 and beta inf, after one first-clear pre-pass per side, and a
 failure raises DegenerateGeometry at once, naming the subtree vertex, the beta (1
 first) and the first violation.  Caterpillars end with the same stages' closed check
-at beta 1 of their arrays, and their nudge state starts from the same first-clear scan.
+at beta 1 of their arrays, and their nudge state starts from the same first-clear scan,
+with the same rounding slack (``proximity._guard``).
 """
 from __future__ import annotations
 
@@ -63,11 +64,14 @@ from .proximity import (
     DrawingPair,
     ParallelogramAnnotation,
     SideVerdicts,
+    _CHUNK,
     _first_clear,
+    _guard,
     _judge,
     _reports,
     _scanned,
     _side_pairs,
+    _sq_table,
     _violated,
     strip_ratio,
 )
@@ -191,16 +195,21 @@ def redraw_pruned_stars(wpd: WPDrawing, keep0: Sequence[int], keep1: Sequence[in
 # ---------------------------------------------------------------------------
 
 def _min_pair_distance(points: Sequence[Point]) -> float:
-    """Smallest ``dist`` over all point pairs, the same float a pairwise loop gives:
-    squares pick the pairs within 1e-6 of the minimum (all, if it is not normal)."""
+    """Smallest ``dist`` over all point pairs, the same float a pairwise loop gives: in row
+    blocks of ``_CHUNK`` cells, squares pick the pairs within 1e-6 of the least square so far
+    (all, while it is not normal); a pair they drop is farther than hypot's rounding."""
     A = np.asarray(points, dtype=float).reshape(-1, 2)
-    i, j = np.triu_indices(len(A), k=1)
-    dx, dy = (A[i] - A[j]).T
-    with np.errstate(over="ignore"):  # an all-inf minimum falls back below
-        sq = dx * dx + dy * dy
-    lo = sq.min(initial=math.inf)
-    near = sq <= lo * (1.0 + 1e-6) if np.finfo(float).tiny <= lo < math.inf else slice(None)
-    return min([math.inf] + list(map(math.hypot, dx[near].tolist(), dy[near].tolist())))
+    step, lo, best = max(1, _CHUNK // max(len(A), 1)), math.inf, math.inf
+    with np.errstate(over="ignore"):  # an all-inf minimum takes every pair
+        for a in range(0, len(A) - 1, step):  # rows a.. against the later points
+            sq = _sq_table(A[a + 1:], A[a:a + step])
+            sq[np.arange(len(sq))[:, None] > np.arange(sq.shape[1])] = math.nan
+            lo = min(lo, np.nanmin(sq))
+            cut = lo * (1.0 + 1e-6) if np.finfo(float).tiny <= lo < math.inf else math.inf
+            i, j = np.nonzero(sq <= cut)
+            dx, dy = (A[a + i] - A[a + 1 + j]).T
+            best = min([best] + list(map(math.hypot, dx.tolist(), dy.tolist())))
+    return best
 
 
 def _gabriel_flags(X0: np.ndarray, X1: np.ndarray, edges0, edges1, held=None, eps=0.0):
@@ -212,12 +221,10 @@ def _gabriel_flags(X0: np.ndarray, X1: np.ndarray, edges0, edges1, held=None, ep
     2 (D + eps) + rho`` keeps its verdict and adds ``eps + rho`` to ``D``, the others (the
     band) are judged afresh.  With no ``held``, each non-edge ``_first_clear`` clears starts
     carried, with both hits, its margin ``m`` as depth, scale ``S`` and ``h = m - TOL S``."""
-    X = np.concatenate((X0, X1))
-    M, S = float(np.abs(X).max()), 2.0 * float(np.ptp(X, axis=0).max())
-    # By _undecided's bound at beta=1 (u = 2**-53), h is within ~28*u*M of exact, a fresh
-    # verdict right beyond ~25*u*M, a float move ~5*u*M off; beyond its guard, no D is bounded.
-    ok = 2.0 ** -1022 <= S * S < math.inf and 8.0 * M < 2.0 ** 511
-    rho = 128 * 2.0 ** -53 * max(M, 2.0 ** -480) if ok else math.inf
+    # By _guard's bound at beta=1 (u = 2**-53), h is within ~28*u*M of exact, a fresh verdict
+    # right beyond ~25*u*M, a float move ~5*u*M off; beyond the guard, no D is bounded.
+    S, rho = _guard(np.concatenate((X0, X1)), 1.0)
+    ok = rho < math.inf
     sides = []
     for s, (own, other, edges) in enumerate(((X0, X1, edges0), (X1, X0, edges1))):
         if held is None:  # a state with nothing carried but the non-edges clear at beta=1
@@ -395,9 +402,10 @@ def draw_caterpillar_pair(cat: CaterpillarDecomposition) -> DrawingPair:
     # one row per vertex id, a block's rows as (spine vertex, *its leaves)
     A0, A1 = np.empty((tree.n, 2)), np.empty((tree.n, 2))
     blocks: List[List[int]] = []
+    drawn = {c: block_points(c) for c in set(counts)}
     for j, sid in enumerate(cat.spine):
         rows = [sid, *cat.leaves[j]]
-        loc0, loc1 = block_points(counts[j])
+        loc0, loc1 = drawn[counts[j]]
         A0[rows] = np.add(loc0[:len(rows)], taus[j])
         A1[rows] = np.add(loc1[:len(rows)], taus[j])
         blocks.append(rows)

@@ -1,13 +1,13 @@
 """Exact mutual witness graph extraction and drawing verification.
 
 The extractor is the ground truth: a pair of one side is an edge exactly when
-no vertex of the other side lies in its beta region.  The verifier diffs a
-claimed drawing against that rule.  Every verdict, at one beta or at several,
-comes from one stage, ``_judge``, over one side's ``_side_pairs``, and every
-report from one, ``_reports``, which the construction gates call too.  Before
-judging, ``_undecided`` drops each non-edge at its first witness clear at
-beta=1 and each edge clear at beta=inf: beta-regions nest, so these verdicts
-hold at every beta.
+no vertex of the other side lies in its beta region, read as the missing-witness
+pairs of the edge-less drawing's report.  The verifier diffs a claimed drawing
+against that rule.  Every verdict comes from one stage, ``_judge``, over one side's
+``_side_pairs``, and every report from one, ``_reports``, which the construction
+gates call too.  Before judging, ``_undecided`` drops each non-edge at its first
+witness clear at beta=1 and each edge clear at beta=inf, by ``_guard``'s rounding
+slack: beta-regions nest, so these verdicts hold at every beta.
 """
 from __future__ import annotations
 
@@ -290,8 +290,8 @@ def extract_mw_graphs(points0: Sequence[Point], points1: Sequence[Point],
     """Ground-truth mutual witness graphs of two point sets.
 
     An edge (u, v) is present on side i exactly when no point of the other
-    side lies in the (closed or open) beta region of u and v.  A pair with a
-    witness clear at beta=1 (``_undecided``) is no edge at any beta.
+    side lies in the (closed or open) beta region of u and v: the
+    ``MissingWitness`` pairs of the edge-less drawing's report, in its order.
     """
     pts0 = [Point(*p) for p in points0]
     pts1 = [Point(*p) for p in points1]
@@ -300,13 +300,9 @@ def extract_mw_graphs(points0: Sequence[Point], points1: Sequence[Point],
     _check_distinct(pts0, "side 0")
     _check_distinct(pts1, "side 1")
     _check_betas(beta)
-    result = []
-    for pairs in _undecided([_side_pairs(pts0, pts1, ()), _side_pairs(pts1, pts0, ())],
-                            (beta,), TOL):
-        v = _judge(pairs, (beta,), TOL)[0]
-        free = ~(v.closed_hit if closed else v.open_hit)
-        result.append(tuple(zip(v.iu[free].tolist(), v.jv[free].tolist())))
-    return result[0], result[1]
+    report = _reports([_side_pairs(pts0, pts1, ()), _side_pairs(pts1, pts0, ())], (beta,),
+                      "closed" if closed else "open", TOL)[0]
+    return tuple(tuple(v.pair for v in report.violations if v.side == s) for s in (0, 1))
 
 
 def verify(d: DrawingPair, beta: float, mode: str = "strict",
@@ -359,11 +355,10 @@ def _reports(sides: list, betas: Tuple, mode: str, margin: float) -> List[Verifi
 def _first_clear(P: np.ndarray, Q: np.ndarray, B: np.ndarray, tol_s: float,
                  slack: float) -> np.ndarray:
     """Each pair's beta=1 margin ``m`` at the deepest witness of its first block of witnesses
-    with ``m - tol_s > slack``, or NaN where none clears.  Witnesses go in index order, in
-    blocks of 8, 16, 32, ..., each against the rows not yet clear, in ``_CHUNK``-cell chunks."""
+    with ``m - tol_s > slack``, or NaN where none clears (a coincident pair's ``-|w - c|``
+    never does).  Witnesses go in index order, in blocks of 8, 16, 32, ..., each against the
+    rows not yet clear, in ``_CHUNK``-cell chunks."""
     d = _dist_table(Q[:, None], P)[:, 0]
-    if not d.all():
-        raise DegenerateInput("beta region undefined for coincident points")
     # the kernel's beta=1 floats, r - |w - c| with r = d/2 and c = P/2 + Q/2, are monotone in
     # |w - c|: a block's deepest margin is at the sqrt of its least square; NaN clears nothing
     out, rows = np.full(len(P), math.nan), np.arange(len(P))
@@ -387,6 +382,18 @@ def _scanned(pairs) -> bool:
     return len(pairs[0]) * len(pairs[4]) > _SETTLE_CELLS
 
 
+def _guard(X: np.ndarray, bmax: float) -> Tuple[float, float]:
+    """``(S, slack)`` of the points ``X``: no scale exceeds ``S``, and two betas' margins up to
+    ``bmax`` (and inf) keep their exact order within ``slack``, inf beyond the range guard."""
+    M, S = float(np.abs(X).max()), 2.0 * float(np.ptp(X, axis=0).max())
+    # Regions nest: m_1 <= m_beta <= m_inf.  With |coordinates| <= M, u = 2**-53 and no sum
+    # of squares above (8*bmax*M)**2, a finite-beta margin is within 24*u*beta*M of exact
+    # (centres and differences below 2*beta*M, ~8 roundings of 3*u*beta*M), a beta=inf one
+    # within 37*u*M: 61*u*bmax*M between two, doubled; the floor covers 2**-533*bmax underflow.
+    ok = 2.0 ** -1022 <= S * S < math.inf and 8.0 * bmax * M < 2.0 ** 511
+    return S, 128 * 2.0 ** -53 * bmax * max(M, 2.0 ** -480) if ok else math.inf
+
+
 def _undecided(sides: list, betas: Tuple, tol: float) -> list:
     """A drawing's ``sides`` less the rows whose verdicts at tolerance ``tol`` beta=1 and
     beta=inf fix at all ``betas``: a non-edge with a witness clear at beta=1 (``_first_clear``)
@@ -395,16 +402,9 @@ def _undecided(sides: list, betas: Tuple, tol: float) -> list:
     if not (any(scan) and betas and all(b >= 1.0 for b in betas)):
         return sides
     X = np.concatenate((sides[1][4], sides[0][4]))  # each side's witnesses: d's points
-    M, S = float(np.abs(X).max()), 2.0 * float(np.ptp(X, axis=0).max())
-    bmax = max([1.0] + [float(b) for b in betas if b != BETA_INF])
-    if not (2.0 ** -1022 <= S * S < math.inf and 8.0 * bmax * M < 2.0 ** 511):
+    S, slack = _guard(X, max([1.0] + [float(b) for b in betas if b != BETA_INF]))
+    if slack == math.inf:
         return sides
-    # Regions nest: m_1 <= m_beta <= m_inf.  With |coordinates| <= M, u = 2**-53 and no sum
-    # of squares above (8*bmax*M)**2, a finite-beta margin is within 24*u*beta*M of exact
-    # (centres and differences below 2*beta*M, ~8 roundings of 3*u*beta*M), a beta=inf one
-    # within 37*u*M: 61*u*bmax*M between two, doubled; the floor covers 2**-533*bmax underflow.
-    # No scale exceeds S, so a dropped row is neither violated nor borderline at any beta.
-    slack = 128 * 2.0 ** -53 * bmax * max(M, 2.0 ** -480)
     kept = list(sides)
     for s in np.flatnonzero(scan).tolist():
         iu, jv, P, Q, B, is_edge = sides[s]

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -383,9 +384,9 @@ class TestMinPairDistance:
 
     def test_random_sets(self):
         rng = random.Random(5)
-        for _ in range(200):
+        for k in range(201):
             span = 10.0 ** rng.uniform(-200, 200)
-            n = rng.randint(2, 30)
+            n = rng.randint(2, 30) if k < 200 else 300  # 300 points span two row blocks
             self.check([(rng.gauss(0, span), rng.gauss(0, span)) for _ in range(n)])
 
     @pytest.mark.parametrize("step", [0.1, 0.3, 1.7e-5, 3e100, 1e-160])
@@ -393,6 +394,18 @@ class TestMinPairDistance:
         # rounding makes the "tied" grid distances differ in the last ulp
         self.check([(step * i + 0.7, step * j - 0.2) for i in range(7) for j in range(5)])
         self.check([(step * i, step * (i % 3)) for i in range(20)])
+        self.check([(step * (i % 20) + 0.7, step * (i // 20) - 0.2) for i in range(300)])
+
+    def test_memory_bounded(self):
+        """2,000 points stay within 8 MiB of traced memory."""
+        points = np.random.default_rng(2000).uniform(0, 1, (2000, 2))
+        tracemalloc.start()
+        try:
+            construct._min_pair_distance(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     def test_squares_and_distances_disagree(self):
         # the pair with the smaller square has the larger distance, by an ulp

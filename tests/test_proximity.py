@@ -73,6 +73,13 @@ class TestExtract:
                 b = random_points(rng, 6)
                 assert extract_mw_graphs(a, b, beta, closed) == \
                     brute_mw_edges(a, b, beta, closed)
+        # 435 pairs x 30 witnesses a side, above _SETTLE_CELLS: the first-clear pre-pass runs
+        a, b = random_points(rng, 30), random_points(rng, 30)
+        assert 435 * 30 > proximity._SETTLE_CELLS
+        for beta in (1.0, BETA_INF):
+            for closed in (True, False):
+                assert extract_mw_graphs(a, b, beta, closed) == \
+                    brute_mw_edges(a, b, beta, closed)
 
     def test_closure_nesting_and_beta_monotonicity(self, rng):
         for _ in range(25):
